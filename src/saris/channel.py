@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .geometry import Point3, distance, elevation_angle_deg
+from .geometry import Point3, distance
 
 SPEED_OF_LIGHT = 3.0e8
 
@@ -85,7 +85,7 @@ class LinkState(enum.Enum):
     NLOS = "nlos"
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkChannel:
     """One realized point-to-point link.
 
@@ -104,7 +104,12 @@ class ChannelRealization:
     """One Monte Carlo draw of every link in the reflected system.
 
     bs_to_uav[l] is (N, M); uav_to_user[l] is (1, N); direct is (1, M) or
-    None when the direct path is blocked (the dead-zone default).
+    None when the direct path is blocked (the dead-zone default).  The same
+    matrices stacked, G (L, N, M) and h (L, N), and the cascaded contribution
+    rows of ``cascade_rows`` are built once, at construction.  ``stacks``
+    passes (G, h) when the caller already holds them, so the link matrices
+    need not be gathered again; realize_channels' link matrices are views
+    into them.
     """
 
     bs_to_uav: list[LinkChannel]
@@ -114,15 +119,27 @@ class ChannelRealization:
     M: int
     N: int
     L: int
-    _rows_cache: tuple[np.ndarray, np.ndarray | None] | None = field(
-        default=None, repr=False, compare=False
-    )
+    stacks: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+    h: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    direct_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, stacks):
         if len(self.bs_to_uav) != self.L or len(self.uav_to_user) != self.L:
             raise ValueError("link list lengths must equal the UAV count L")
-        if not (0 < self.eta_reflect <= 1):
-            raise ValueError("reflection efficiency must be in (0, 1]")
+        if stacks is None:
+            stacks = (
+                np.array([lc.matrix for lc in self.bs_to_uav], dtype=complex),
+                np.array([lc.matrix[0] for lc in self.uav_to_user], dtype=complex),
+            )
+        self.G, self.h = stacks
+        if self.G.shape != (self.L, self.N, self.M) or self.h.shape != (self.L, self.N):
+            raise ValueError(f"link matrices must stack to {(self.L, self.N, self.M)} and {(self.L, self.N)}")
+        rows = np.conj(self.h)[:, :, None] * self.G
+        rows *= self.eta_reflect
+        self.rows = rows.reshape(self.L * self.N, self.M)
+        self.direct_row = np.conj(self.direct.matrix[0]) if self.direct is not None else None
 
 
 def los_probability(theta_deg: float, env: EnvParams) -> float:
@@ -161,6 +178,21 @@ def _arange(count: int) -> np.ndarray:
     return k
 
 
+def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
+    """np.exp(1j * step * np.arange(count)) for each phase step, one row each.
+
+    The exponent is purely imaginary, so its complex exponential is exactly
+    (cos, sin) of its imaginary part; the real kernels give the same bits at
+    a fraction of the cost.  (1j * step has imaginary part +0.0 for a step of
+    -0.0; callers that need that sign pass +0.0.)
+    """
+    x = steps[:, None] * _arange(count)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def ula_response(count: int, angle_rad: float, spacing_wavelengths: float = 0.5) -> np.ndarray:
     """Uniform-linear-array response: exp(j*2*pi*spacing*k*sin(angle)), k=0..count-1."""
     if count < 1:
@@ -168,7 +200,7 @@ def ula_response(count: int, angle_rad: float, spacing_wavelengths: float = 0.5)
     if not (spacing_wavelengths > 0):
         raise ValueError("element spacing must be > 0")
     phase = 2.0 * math.pi * spacing_wavelengths * math.sin(angle_rad)
-    return np.exp(1j * phase * _arange(count))
+    return _phasors(np.array([phase + 0.0]), count)[0]
 
 
 def _gain_from_pl(pl_db: float) -> float:
@@ -180,6 +212,84 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
     # One RNG call for both quadratures; unit variance per complex entry.
     parts = rng.standard_normal(shape + (2,))
     return parts.view(np.complex128)[..., 0] / math.sqrt(2.0)
+
+
+# Phase step per unit sin(angle) of a half-wavelength ULA (ula_response's default).
+_HALF_WAVE_STEP = 2.0 * math.pi * 0.5
+# numpy divides a complex array by the real sqrt(2) as a product with
+# 1/sqrt(2), so scaling the raw normals by it gives _complex_gaussian's bits.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _draw_links(
+    pairs: list[tuple[Point3, Point3]],
+    rx_n: int,
+    tx_n: int,
+    env: EnvParams,
+    rng: np.random.Generator,
+    force_state: LinkState | None = None,
+) -> tuple[np.ndarray, list[LinkState], list[float], list[float]]:
+    """Draw air-to-ground links with equal element counts, in order.
+
+    Returns the stacked matrices (len(pairs), rx_n, tx_n) and the per-link
+    states, linear gains and distances.  The per-link scalars (geometry, the
+    state draw, path loss, steering angles) are computed in ``math``: numpy's
+    SIMD transcendentals differ from libm in the last bit.  The matrices are
+    then built for all links at once.  Generator use per link: one uniform
+    for the state (consumed even under force_state, so forced and unforced
+    runs stay stream-aligned), then, for an NLoS link, its fading normals.
+    """
+    states: list[LinkState] = []
+    gains: list[float] = []
+    dists: list[float] = []
+    steps_rx: list[float] = []
+    steps_tx: list[float] = []
+    normals = None
+    for i, (tx, rx) in enumerate(pairs):
+        dx = tx.x - rx.x
+        dy = tx.y - rx.y
+        dz = tx.z - rx.z
+        if not abs(dz) > 0:
+            if tx == rx:
+                raise ValueError("link endpoints must differ")
+            raise ValueError("aerial node must be strictly above the ground node")
+        # Elevation of the higher end seen from the lower end.
+        theta = math.degrees(math.atan2(abs(dz), math.hypot(dx, dy)))
+        d = math.sqrt(dx**2 + dy**2 + dz**2)
+        p_los = los_probability(theta, env)
+        u = rng.random()
+        state = force_state or (LinkState.LOS if u < p_los else LinkState.NLOS)
+        gains.append(_gain_from_pl(path_loss_db(d, state, env)))
+        dists.append(d)
+        states.append(state)
+        if state is LinkState.LOS:
+            # Arrival keyed to the signed elevation at rx, departure to the
+            # azimuth at tx.
+            steps_rx.append(_HALF_WAVE_STEP * math.sin(math.asin(dz / d)))
+            steps_tx.append(_HALF_WAVE_STEP * math.sin(math.atan2(rx.y - tx.y, rx.x - tx.x)))
+        else:
+            if normals is None:
+                normals = np.zeros((len(pairs), rx_n, tx_n, 2))
+            rng.standard_normal(out=normals[i])
+
+    n_los = len(steps_rx)
+    if normals is not None:
+        normals *= _INV_SQRT2
+        matrices = normals.view(np.complex128)[..., 0]
+    if n_los:
+        # Rank-1 LoS structure: outer product of the unit-modulus responses.
+        responses = _phasors(np.array(steps_rx + steps_tx), max(rx_n, tx_n))
+        outer = responses[:n_los, :rx_n, None] * np.conj(responses[n_los:, None, :tx_n])
+        if n_los == len(pairs):
+            matrices = outer
+        else:
+            matrices[[i for i, state in enumerate(states) if state is LinkState.LOS]] = outer
+    return np.sqrt(gains)[:, None, None] * matrices, states, gains, dists
+
+
+def _link_channels(matrices, states, gains, dists) -> list[LinkChannel]:
+    # Positional (matrix, state, large_scale_gain, distance); the matrices stay views.
+    return list(map(LinkChannel, matrices, states, gains, dists))
 
 
 def draw_link(
@@ -198,31 +308,10 @@ def draw_link(
     unforced runs stay stream-aligned).  The LoS matrix is the outer product
     of unit-modulus array responses: the departure response is keyed to the
     link azimuth at the transmitter, the arrival response to the (signed)
-    link elevation at the receiver.
+    link elevation at the receiver.  NLoS entries are i.i.d. complex
+    Gaussian.  Both are scaled by the square root of the large-scale gain.
     """
-    if tx == rx:
-        raise ValueError("link endpoints must differ")
-    lo, hi = (tx, rx) if tx.z < rx.z else (rx, tx)
-    theta = elevation_angle_deg(lo, hi)
-    d = distance(tx, rx)
-
-    p_los = los_probability(theta, env)
-    u = rng.random()
-    if force_state is not None:
-        state = force_state
-    else:
-        state = LinkState.LOS if u < p_los else LinkState.NLOS
-    gain = _gain_from_pl(path_loss_db(d, state, env))
-
-    if state is LinkState.LOS:
-        az_tx = math.atan2(rx.y - tx.y, rx.x - tx.x)
-        el_rx = math.asin((tx.z - rx.z) / d)
-        matrix = math.sqrt(gain) * np.outer(
-            ula_response(rx_n, el_rx), np.conj(ula_response(tx_n, az_tx))
-        )
-    else:
-        matrix = math.sqrt(gain) * _complex_gaussian(rng, (rx_n, tx_n))
-    return LinkChannel(matrix=matrix, state=state, large_scale_gain=gain, distance=d)
+    return _link_channels(*_draw_links([(tx, rx)], rx_n, tx_n, env, rng, force_state))[0]
 
 
 def draw_terrestrial_link(
@@ -262,22 +351,25 @@ def realize_channels(
         raise ValueError("at least one UAV is required")
     if M < 1 or N < 1:
         raise ValueError("element counts must be >= 1")
+    if not (0 < eta_reflect <= 1):
+        raise ValueError("reflection efficiency must be in (0, 1]")
     if direct_link_mode not in ("blocked", "terrestrial_nlos"):
         raise ValueError(f"unknown direct_link_mode: {direct_link_mode!r}")
 
-    bs_to_uav = [draw_link(bs, uav, M, N, env, rng) for uav in uavs]
-    uav_to_user = [draw_link(uav, user, N, 1, env, rng) for uav in uavs]
+    incident = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
+    reflected = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
     direct = None
     if direct_link_mode == "terrestrial_nlos":
         direct = draw_terrestrial_link(bs, user, M, env, rng)
     return ChannelRealization(
-        bs_to_uav=bs_to_uav,
-        uav_to_user=uav_to_user,
+        bs_to_uav=_link_channels(*incident),
+        uav_to_user=_link_channels(*reflected),
         direct=direct,
         eta_reflect=eta_reflect,
         M=M,
         N=N,
         L=len(uavs),
+        stacks=(incident[0], reflected[0][:, 0]),
     )
 
 
@@ -288,20 +380,9 @@ def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:
     to conj(h_l[n]) * eta * G_l[n, :]; direct_row is conj of the stored direct
     vector (or None).  For phases theta and unit precoder w the received
     scalar is sum_k exp(1j*theta_k) * rows[k] @ w (+ direct_row @ w), i.e. the
-    row-form effective channel applied to w.  Cached per realization.
+    row-form effective channel applied to w.  Built with the realization.
     """
-    if r._rows_cache is not None:
-        return r._rows_cache
-    rows = np.empty((r.L * r.N, r.M), dtype=complex)
-    for l in range(r.L):
-        block = rows[l * r.N : (l + 1) * r.N]
-        np.multiply(
-            np.conj(r.uav_to_user[l].matrix[0])[:, None], r.bs_to_uav[l].matrix, out=block
-        )
-        block *= r.eta_reflect
-    direct_row = np.conj(r.direct.matrix[0]) if r.direct is not None else None
-    r._rows_cache = (rows, direct_row)
-    return r._rows_cache
+    return r.rows, r.direct_row
 
 
 def effective_channel(r: ChannelRealization, phases: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Command-line entry point for the Monte Carlo experiments.
 
 Subcommands: deploy-map, rate-vs-uavs, rate-vs-radius, estimate.  Exit codes:
-0 on success, 1 on configuration/usage errors, 2 on runtime errors.
+0 on success; 1 on configuration/usage errors, invalid sweep arguments
+included, all caught before any Monte Carlo work; 2 on runtime errors, such
+as I/O failures and numerical failures during the run.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
             table = experiments.run_estimation_sweep(sc, n_groups, snrs, bf=cfg.bf)
             experiments.write_csv(out, table.columns, table.rows, sc.seed, digest)
-    except ValueError as exc:
+    except experiments.SweepError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure

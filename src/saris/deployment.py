@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import BfOptions, alternating_optimize, mrt, quantize_phases
-from .channel import effective_channel, realize_channels
+from .channel import ChannelRealization, effective_channel, realize_channels
 from .geometry import DiskRegion, Point3, sample_cluster, sample_uniform_disk
 from .streams import substream
 
@@ -72,18 +72,12 @@ class GainMap:
         return float(max(m[0, :].max(), m[-1, :].max(), m[:, 0].max(), m[:, -1].max()))
 
 
-def simulate_trial(
-    scenario, center: Point3, rng: np.random.Generator, bf: BfOptions
-) -> tuple[float, float]:
-    """One Monte Carlo trial at a candidate swarm center.
-
-    Samples the user in its disk, the L UAVs in the swarm disk, realizes all
-    links, and converges the joint beamformer.  Returns (channel power gain,
-    achievable rate).  Draw order: user, UAVs, links.
-    """
+def _draw_trial(scenario, center: Point3, rng: np.random.Generator) -> ChannelRealization:
+    """Sample the user in its disk and the L UAVs in the swarm disk around
+    ``center``, then realize every link.  Draw order: user, UAVs, links."""
     user = sample_uniform_disk(DiskRegion(Point3(scenario.x_u_m, 0.0, 0.0), scenario.r_u_m), rng)
     uavs = sample_cluster(DiskRegion(center, scenario.r_a_m), scenario.L, rng)
-    r = realize_channels(
+    return realize_channels(
         scenario.bs,
         uavs,
         user,
@@ -94,6 +88,17 @@ def simulate_trial(
         rng=rng,
         direct_link_mode=scenario.direct_link_mode,
     )
+
+
+def simulate_trial(
+    scenario, center: Point3, rng: np.random.Generator, bf: BfOptions
+) -> tuple[float, float]:
+    """One Monte Carlo trial at a candidate swarm center.
+
+    Draws the trial's links (see _draw_trial) and converges the joint
+    beamformer.  Returns (channel power gain, achievable rate).
+    """
+    r = _draw_trial(scenario, center, rng)
     sol = alternating_optimize(r, bf.tol, bf.max_iter)
     if bf.phase_bits > 0:
         theta_q = quantize_phases(sol.phases, bf.phase_bits)
@@ -153,8 +158,9 @@ def grid_search(
 ) -> GainMap:
     """Exhaustively score every (x, z) cell and return the map plus argmax.
 
-    Ties break toward the smallest x, then the smallest z.  evaluate_fn is a
-    test hook with the evaluate_position signature.
+    Ties break toward the smallest x, then the smallest z.  A non-finite cell
+    score raises ValueError naming the cell.  evaluate_fn is a test hook with
+    the evaluate_position signature.
     """
     evaluate = evaluate_fn or (
         lambda sc, center, n, cell_rng: evaluate_position(sc, center, n, cell_rng, bf, objective)
@@ -166,6 +172,8 @@ def grid_search(
         for iz, z in enumerate(zs):
             cell_rng = substream(master_seed, "deploy-map", ix, iz)
             v = float(evaluate(scenario, Point3(float(x), 0.0, float(z)), trials, cell_rng))
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite score {v} at grid cell x={x:g} m, z={z:g} m")
             values[ix, iz] = v
             if v > best[2]:
                 best = (float(x), float(z), v)

@@ -13,13 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import dft
 
 from . import beamforming
 from .channel import ChannelRealization, cascade_rows, effective_channel
 
 __all__ = [
-    "EstOptions",
     "SubsurfaceGrouping",
     "PilotBook",
     "EstimationResult",
@@ -30,13 +28,6 @@ __all__ = [
     "run_estimation",
     "rate_loss",
 ]
-
-
-@dataclass(frozen=True)
-class EstOptions:
-    n_groups: int = 40
-    # None = reuse the data noise power; math.inf = noiseless pilots.
-    pilot_snr_db: float | None = None
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,9 @@ def pilot_patterns(n_groups: int) -> PilotBook:
     columns, condition number 1."""
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
-    states = dft(n_groups + 1)
+    n = n_groups + 1
+    # scipy.linalg.dft's own expression, bit for bit.
+    states = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
     return PilotBook(states=states, condition_number=float(np.linalg.cond(states)))
 
 

@@ -12,12 +12,13 @@ import numpy as np
 
 from . import estimation
 from .beamforming import BfOptions
-from .channel import ENV_PRESETS, EnvParams, dbm_to_watts, realize_channels
-from .deployment import GainMap, Grid2D, collect_metrics, grid_search
-from .geometry import DiskRegion, Point3, sample_cluster, sample_uniform_disk
+from .channel import ENV_PRESETS, EnvParams, dbm_to_watts
+from .deployment import GainMap, Grid2D, _draw_trial, collect_metrics, grid_search
+from .geometry import Point3
 from .streams import mix_seed, substream
 
 __all__ = [
+    "SweepError",
     "Scenario",
     "ResultTable",
     "write_csv",
@@ -61,6 +62,8 @@ class Scenario:
             raise ValueError("element counts must be >= 1")
         if not (self.r_a_m > 0 and self.r_u_m > 0):
             raise ValueError("cluster radii must be > 0")
+        if not (0 < self.eta_reflect <= 1):
+            raise ValueError("reflection efficiency must be in (0, 1]")
         if not (self.noise_w > 0 and self.p_tx_w > 0):
             raise ValueError("power levels must be > 0")
         if self.trials < 1:
@@ -69,6 +72,26 @@ class Scenario:
     @property
     def baseline_center(self) -> Point3:
         return Point3(self.x_u_m, 0.0, BASELINE_ALTITUDE_M)
+
+
+class SweepError(ValueError):
+    """An invalid sweep argument; raised before any Monte Carlo work starts."""
+
+
+def _sweep_points(values, make) -> list:
+    """``make(v)`` for every sweep value, all up front, so that a bad value
+    fails before the first trial runs."""
+    if not values:
+        raise SweepError("sweep value lists must be nonempty")
+    try:
+        return [make(v) for v in values]
+    except ValueError as exc:
+        raise SweepError(str(exc)) from exc
+
+
+def _check_search_trials(search_trials: int) -> None:
+    if search_trials < 1:
+        raise SweepError(f"search trials must be >= 1, got {search_trials}")
 
 
 @dataclass
@@ -172,24 +195,23 @@ def run_rate_vs_uavs(
     reduced trial count, then rated at the full trial count; the baseline
     center sits 50 m above the user-region center.
     """
-    if not l_values:
-        raise ValueError("l_values must be nonempty")
+    scenarios = _sweep_points(l_values, lambda L: replace(scenario, L=int(L)))
+    _check_search_trials(search_trials)
     bf = bf or BfOptions()
     grid = grid or DEFAULT_SEARCH_GRID
     rows = []
-    for L in l_values:
-        sc = replace(scenario, L=int(L))
-        base_rng = substream(sc.seed, "rate-vs-uavs", "baseline", int(L))
+    for sc in scenarios:
+        base_rng = substream(sc.seed, "rate-vs-uavs", "baseline", sc.L)
         _, base_rates = collect_metrics(sc, sc.baseline_center, sc.trials, base_rng, bf)
         base_mean, base_half = _mean_ci(base_rates)
         if optimize_deployment:
-            center = _optimized_center(sc, grid, search_trials, bf, ("rate-vs-uavs", "search", int(L)))
-            opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", int(L))
+            center = _optimized_center(sc, grid, search_trials, bf, ("rate-vs-uavs", "search", sc.L))
+            opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", sc.L)
             _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, bf)
             mean, half = _mean_ci(opt_rates)
         else:
             mean, half = base_mean, base_half
-        rows.append((int(L), mean, base_mean, half))
+        rows.append((sc.L, mean, base_mean, half))
     return ResultTable(["L", "mean_rate_bps_hz", "baseline_rate_bps_hz", "ci95"], rows)
 
 
@@ -203,22 +225,28 @@ def run_rate_vs_radius(
 ) -> ResultTable:
     """Mean achievable rate over the (swarm radius, user radius) cross
     product, with the deployment re-optimized per point."""
-    if not r_a_values or not r_u_values:
-        raise ValueError("radius value lists must be nonempty")
+    scenarios = _sweep_points(
+        [(r_a, r_u) for r_a in r_a_values for r_u in r_u_values],
+        lambda radii: replace(scenario, r_a_m=float(radii[0]), r_u_m=float(radii[1])),
+    )
+    _check_search_trials(search_trials)
     bf = bf or BfOptions()
     grid = grid or DEFAULT_SEARCH_GRID
     rows = []
-    for r_a in r_a_values:
-        for r_u in r_u_values:
-            sc = replace(scenario, r_a_m=float(r_a), r_u_m=float(r_u))
-            center = _optimized_center(
-                sc, grid, search_trials, bf, ("rate-vs-radius", "search", float(r_a), float(r_u))
-            )
-            rng = substream(sc.seed, "rate-vs-radius", "rate", float(r_a), float(r_u))
-            _, rates = collect_metrics(sc, center, sc.trials, rng, bf)
-            mean, half = _mean_ci(rates)
-            rows.append((float(r_a), float(r_u), mean, half))
+    for sc in scenarios:
+        r_a, r_u = sc.r_a_m, sc.r_u_m
+        center = _optimized_center(sc, grid, search_trials, bf, ("rate-vs-radius", "search", r_a, r_u))
+        rng = substream(sc.seed, "rate-vs-radius", "rate", r_a, r_u)
+        _, rates = collect_metrics(sc, center, sc.trials, rng, bf)
+        mean, half = _mean_ci(rates)
+        rows.append((r_a, r_u, mean, half))
     return ResultTable(["r_a_m", "r_u_m", "mean_rate_bps_hz", "ci95"], rows)
+
+
+def _check_pilot_snr(snr_db: float | None) -> float | None:
+    if snr_db is not None and math.isnan(snr_db):
+        raise ValueError("pilot SNR must be a number, inf or 'data', got nan")
+    return snr_db
 
 
 def run_estimation_sweep(
@@ -233,37 +261,23 @@ def run_estimation_sweep(
     the group-level beamformer is built from the estimates, and the achieved
     rate is compared against the perfect-CSI per-element solution.
     """
-    if not n_groups_values or not pilot_snr_values:
-        raise ValueError("sweep value lists must be nonempty")
+    groupings = _sweep_points(
+        n_groups_values, lambda g: estimation.group_subsurfaces(scenario.L, scenario.N, int(g))
+    )
+    pilot_snr_values = _sweep_points(pilot_snr_values, _check_pilot_snr)
     bf = bf or BfOptions()
     rows = []
-    for n_groups in n_groups_values:
-        grouping = estimation.group_subsurfaces(scenario.L, scenario.N, int(n_groups))
-        book = estimation.pilot_patterns(int(n_groups))
+    for grouping in groupings:
+        n_groups = grouping.n_groups
+        book = estimation.pilot_patterns(n_groups)
         for snr_db in pilot_snr_values:
             snr_key = "data" if snr_db is None else float(snr_db)
-            rng = substream(scenario.seed, "estimate", int(n_groups), str(snr_key))
+            rng = substream(scenario.seed, "estimate", n_groups, str(snr_key))
             mses = np.empty(scenario.trials)
             rates_p = np.empty(scenario.trials)
             rates_e = np.empty(scenario.trials)
             for i in range(scenario.trials):
-                user = sample_uniform_disk(
-                    DiskRegion(Point3(scenario.x_u_m, 0.0, 0.0), scenario.r_u_m), rng
-                )
-                uavs = sample_cluster(
-                    DiskRegion(scenario.baseline_center, scenario.r_a_m), scenario.L, rng
-                )
-                r = realize_channels(
-                    scenario.bs,
-                    uavs,
-                    user,
-                    M=scenario.M,
-                    N=scenario.N,
-                    eta_reflect=scenario.eta_reflect,
-                    env=scenario.env,
-                    rng=rng,
-                    direct_link_mode=scenario.direct_link_mode,
-                )
+                r = _draw_trial(scenario, scenario.baseline_center, rng)
                 est = estimation.run_estimation(
                     r, grouping, book, snr_db, rng, noise_w=scenario.noise_w
                 )
@@ -273,8 +287,8 @@ def run_estimation_sweep(
                 mses[i], rates_p[i], rates_e[i] = est.mse, rate_p, rate_e
             rows.append(
                 (
-                    int(n_groups),
-                    int(n_groups) + 1,
+                    n_groups,
+                    n_groups + 1,
                     snr_key,
                     float(mses.mean()),
                     float(rates_p.mean()),

@@ -33,7 +33,7 @@ class Point3:
     z: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError("coordinates must be finite")
         if self.z < 0:
             raise ValueError(f"node altitude must be >= 0, got z={self.z}")
@@ -78,17 +78,27 @@ def sample_uniform_disk(region: DiskRegion, rng: np.random.Generator) -> Point3:
     Draw order is fixed (radius fraction first, then angle) so that streams
     replay identically for a given generator state.
     """
-    r = region.radius * math.sqrt(rng.random())
-    phi = 2.0 * math.pi * rng.random()
+    return _disk_point(region, rng.random(), rng.random())
+
+
+def sample_cluster(region: DiskRegion, count: int, rng: np.random.Generator) -> list[Point3]:
+    """``count`` independent uniform-disk points (fixed daughter count).
+
+    Draws the 2*count uniforms in one call; they are the values of 2*count
+    scalar draws, so the points equal ``count`` sample_uniform_disk calls.
+    """
+    if count < 1:
+        raise ValueError(f"cluster size must be >= 1, got {count}")
+    u = rng.random(2 * count).tolist()
+    return [_disk_point(region, u_r, u_phi) for u_r, u_phi in zip(u[0::2], u[1::2])]
+
+
+def _disk_point(region: DiskRegion, u_r: float, u_phi: float) -> Point3:
+    """Disk point at radius fraction sqrt(u_r) and angle 2*pi*u_phi."""
+    r = region.radius * math.sqrt(u_r)
+    phi = 2.0 * math.pi * u_phi
     return Point3(
         region.center.x + r * math.cos(phi),
         region.center.y + r * math.sin(phi),
         region.center.z,
     )
-
-
-def sample_cluster(region: DiskRegion, count: int, rng: np.random.Generator) -> list[Point3]:
-    """``count`` independent uniform-disk points (fixed daughter count)."""
-    if count < 1:
-        raise ValueError(f"cluster size must be >= 1, got {count}")
-    return [sample_uniform_disk(region, rng) for _ in range(count)]

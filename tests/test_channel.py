@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from conftest import make_realization
 from saris.channel import (
     ENV_PRESETS,
+    ChannelRealization,
     EnvParams,
     LinkState,
+    cascade_rows,
+    db_to_linear,
     dbm_to_watts,
     draw_link,
     effective_channel,
@@ -19,7 +22,7 @@ from saris.channel import (
     terrestrial_path_loss_db,
     ula_response,
 )
-from saris.geometry import Point3
+from saris.geometry import Point3, distance, elevation_angle_deg
 from saris.streams import substream
 
 DENSE = ENV_PRESETS["dense_urban"]
@@ -119,6 +122,12 @@ class TestUlaResponse:
         resp = ula_response(count, angle, spacing)
         np.testing.assert_allclose(np.abs(resp), 1.0, atol=1e-12)
 
+    @given(st.integers(1, 64), st.floats(-math.pi, math.pi), st.floats(0.01, 2.0))
+    def test_bit_identical_to_complex_exponential(self, count, angle, spacing):
+        phase = 2.0 * math.pi * spacing * math.sin(angle)
+        expected = np.exp(1j * phase * np.arange(count))
+        assert ula_response(count, angle, spacing).tobytes() == expected.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ula_response(0, 0.0)
@@ -162,6 +171,34 @@ class TestDrawLink:
     def test_gain_capped_at_unity(self):
         lc = draw_link(Point3(0, 0, 0), Point3(0, 0, 1e-4), 1, 1, DENSE, substream(1, "e"))
         assert lc.large_scale_gain <= 1.0
+
+    @pytest.mark.parametrize("force", [None, LinkState.LOS, LinkState.NLOS])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_identical_to_public_formulas(self, seed, force):
+        # the link is assembled from the geometry, LoS-probability, path-loss
+        # and array-response functions, in this generator order
+        gen = np.random.default_rng(seed)
+        ground = Point3(*gen.uniform(-300, 300, 2), 0.0)
+        aerial = Point3(*gen.uniform(-300, 300, 2), gen.uniform(1, 300))
+        tx, rx = (ground, aerial) if seed % 2 else (aerial, ground)
+        rng, probe = substream(seed, "formulas"), substream(seed, "formulas")
+        lc = draw_link(tx, rx, 5, 3, DENSE, rng, force)
+
+        u = probe.random()
+        p_los = los_probability(elevation_angle_deg(ground, aerial), DENSE)
+        state = force or (LinkState.LOS if u < p_los else LinkState.NLOS)
+        d = distance(tx, rx)
+        gain = min(1.0, db_to_linear(-path_loss_db(d, state, DENSE)))
+        if state is LinkState.LOS:
+            az_tx = math.atan2(rx.y - tx.y, rx.x - tx.x)
+            el_rx = math.asin((tx.z - rx.z) / d)
+            expected = math.sqrt(gain) * np.outer(ula_response(3, el_rx), np.conj(ula_response(5, az_tx)))
+        else:
+            parts = probe.standard_normal((3, 5, 2))
+            expected = math.sqrt(gain) * (parts.view(np.complex128)[..., 0] / math.sqrt(2.0))
+        assert (lc.state, lc.distance, lc.large_scale_gain) == (state, d, gain)
+        assert lc.matrix.tobytes() == expected.tobytes()
+        assert rng.random() == probe.random()
 
     def test_rejects_identical_endpoints(self):
         with pytest.raises(ValueError):
@@ -210,6 +247,54 @@ class TestRealizeChannels:
             assert (a.matrix == b.matrix).all()
             assert a.state == b.state
 
+    def test_links_are_views_into_the_stacks(self):
+        r = realize_channels(
+            self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
+            rng=substream(2, "v"),
+        )
+        assert r.G.shape == (10, 20, 16) and r.h.shape == (10, 20)
+        for l in range(10):
+            assert np.shares_memory(r.bs_to_uav[l].matrix, r.G)
+            assert (r.bs_to_uav[l].matrix == r.G[l]).all()
+            assert (r.uav_to_user[l].matrix[0] == r.h[l]).all()
+
+    def test_rows_match_per_uav_assembly(self):
+        r = realize_channels(
+            self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
+            rng=substream(2, "w"), direct_link_mode="terrestrial_nlos",
+        )
+        blocks = []
+        for g, h in zip(r.bs_to_uav, r.uav_to_user):
+            block = np.conj(h.matrix[0])[:, None] * g.matrix
+            block *= 0.9
+            blocks.append(block)
+        rows, direct_row = cascade_rows(r)
+        assert rows.tobytes() == np.vstack(blocks).tobytes()
+        assert direct_row.tobytes() == np.conj(r.direct.matrix[0]).tobytes()
+        # rebuilding from the link lists gives the same stacks and rows
+        rebuilt = make_realization(
+            [lc.matrix for lc in r.bs_to_uav], [lc.matrix for lc in r.uav_to_user],
+            eta=0.9, direct=r.direct.matrix,
+        )
+        assert rebuilt.rows.tobytes() == rows.tobytes()
+        assert rebuilt.direct_row.tobytes() == direct_row.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.01, float("nan")])
+    def test_rejects_reflection_efficiency_outside_unit_interval(self, eta):
+        with pytest.raises(ValueError, match="reflection efficiency"):
+            realize_channels(
+                self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=eta, env=DENSE,
+                rng=substream(2, "e"),
+            )
+
+    def test_rejects_mismatched_link_shapes(self):
+        r = make_realization([np.ones((3, 2))], [np.ones((1, 3))])  # (N, M) = (3, 2)
+        with pytest.raises(ValueError, match="stack"):
+            ChannelRealization(
+                bs_to_uav=r.bs_to_uav, uav_to_user=r.uav_to_user, direct=None,
+                eta_reflect=0.9, M=3, N=2, L=1,
+            )
+
     def test_unknown_direct_mode(self):
         with pytest.raises(ValueError):
             realize_channels(
@@ -228,11 +313,11 @@ class TestEffectiveChannel:
 
     def test_zero_efficiency_zeroes_reflection(self):
         rng = np.random.default_rng(3)
+        # degenerate probe: realize_channels rejects eta outside (0, 1], the
+        # realization container itself does not
         r = make_realization(
-            [rng.standard_normal((2, 3)) + 0j], [rng.standard_normal((1, 2)) + 0j], eta=1.0
+            [rng.standard_normal((2, 3)) + 0j], [rng.standard_normal((1, 2)) + 0j], eta=0.0
         )
-        # degenerate probe: construction validates eta in (0, 1], so bypass it
-        r.eta_reflect = 0.0
         e = effective_channel(r, np.zeros((1, 2)))
         np.testing.assert_array_equal(e, np.zeros(3, dtype=complex))
 

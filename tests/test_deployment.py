@@ -131,3 +131,20 @@ class TestGridSearch:
         gm = grid_search(small_scenario(), grid, 1, master_seed=1, evaluate_fn=from_table)
         assert gm.is_interior()
         assert gm.boundary_max() == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cell_raises_naming_it(self, bad):
+        grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
+
+        def one_bad_cell(scenario, center, trials, rng):
+            return bad if (center.x, center.z) == (50.0, 100.0) else 1.0
+
+        with pytest.raises(ValueError, match="x=50 m, z=100 m"):
+            grid_search(small_scenario(), grid, 1, master_seed=1, evaluate_fn=one_bad_cell)
+
+    def test_all_nan_map_raises_at_first_cell(self):
+        grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
+        with pytest.raises(ValueError, match="x=0 m, z=50 m"):
+            grid_search(
+                small_scenario(), grid, 1, master_seed=1, evaluate_fn=lambda *a: float("nan")
+            )

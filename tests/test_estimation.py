@@ -94,6 +94,12 @@ class TestPilotBook:
     def test_direct_indicator_column_is_ones(self):
         np.testing.assert_allclose(pilot_patterns(5).states[:, 0], 1.0, atol=1e-12)
 
+    def test_bit_identical_to_scipy_dft(self):
+        # the book reproduces scipy.linalg.dft without importing scipy at run time
+        dft = pytest.importorskip("scipy.linalg").dft
+        for n_groups in range(1, 401):
+            assert pilot_patterns(n_groups).states.tobytes() == dft(n_groups + 1).tobytes(), n_groups
+
 
 class TestRunEstimation:
     @pytest.mark.parametrize("n_groups", [1, 2, 4, 8])

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from saris import cli
+from saris import cli, experiments
 from saris.beamforming import BfOptions
 from saris.deployment import Grid2D, collect_metrics
 from saris.experiments import (
@@ -241,6 +245,67 @@ class TestCli:
         out.mkdir()  # writing a CSV over a directory must fail at the I/O layer
         assert self.run("estimate", "--config", str(cfg), "--out", str(out)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_two(self, tmp_path, capsys):
+        # a valid but subnormal reflection efficiency underflows every
+        # cascaded row to zero: a runtime failure, not a config mistake
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n"
+            "scenario.eta_reflect = 1e-320\n"
+            "grid.x_min_m = 0\ngrid.x_max_m = 100\ngrid.x_step_m = 100\n"
+            "grid.z_min_m = 50\ngrid.z_max_m = 100\ngrid.z_step_m = 50\n"
+        )
+        assert self.run("deploy-map", "--config", str(cfg), "--out", str(tmp_path / "m.csv")) == 2
+        err = capsys.readouterr().err
+        assert "identically zero" in err and "config error" not in err
+
+    def test_runtime_value_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("solver diverged")
+
+        monkeypatch.setattr(experiments, "run_rate_vs_radius", fail)
+        assert self.run("rate-vs-radius", "--out", str(tmp_path / "r.csv")) == 2
+        assert "error: solver diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("estimate", "--n-groups", "2,3", "--pilot-snr-db", "inf"),
+            ("estimate", "--n-groups", "2", "--pilot-snr-db", "inf,nan"),
+            ("rate-vs-uavs", "--l-values", "1,0"),
+            ("rate-vs-uavs", "--l-values", ""),
+            ("rate-vs-radius", "--ra-values", "5,-1"),
+        ],
+    )
+    def test_bad_sweep_exits_one_before_any_trial(self, args, tmp_path, monkeypatch, capsys):
+        def no_trials(*a, **kw):
+            raise AssertionError("Monte Carlo work started before the sweep was validated")
+
+        monkeypatch.setattr(experiments, "_draw_trial", no_trials)
+        monkeypatch.setattr(experiments, "collect_metrics", no_trials)
+        monkeypatch.setattr(experiments, "grid_search", no_trials)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n")
+        command, *extra = args
+        assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), *extra) == 1
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", ["0", "1.5", "-0.2"])
+    def test_reflection_efficiency_out_of_range_exits_one(self, eta, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario.eta_reflect = {eta}\n")
+        assert self.run("deploy-map", "--config", str(cfg), "--out", str(tmp_path / "m.csv")) == 1
+        assert "reflection efficiency" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, saris.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_incompatible_grouping_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

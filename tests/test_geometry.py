@@ -140,6 +140,16 @@ class TestCluster:
         b = sample_uniform_disk(region, substream(7, "x"))
         assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
 
+    def test_equals_sequential_disk_samples(self):
+        # one batched draw of 2*count uniforms gives the points, and leaves
+        # the stream where count scalar-drawing calls would
+        region = DiskRegion(Point3(100, -20, 80), 15.0)
+        rng_a, rng_b = substream(4, "seq"), substream(4, "seq")
+        a = sample_cluster(region, 12, rng_a)
+        b = [sample_uniform_disk(region, rng_b) for _ in range(12)]
+        assert [(p.x, p.y, p.z) for p in a] == [(p.x, p.y, p.z) for p in b]
+        assert rng_a.random() == rng_b.random()
+
     def test_deterministic_for_fixed_stream(self):
         region = DiskRegion(Point3(0, 0, 0), 5.0)
         a = sample_cluster(region, 8, substream(3, "s"))
