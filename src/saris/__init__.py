@@ -6,7 +6,6 @@ closed-form joint beamforming, pilot-based cascaded-channel estimation, and
 from .beamforming import (
     BeamformingSolution,
     BfOptions,
-    align_phases,
     alternating_optimize,
     mrt,
     quantize_phases,

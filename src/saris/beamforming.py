@@ -21,7 +21,6 @@ __all__ = [
     "BfOptions",
     "BeamformingSolution",
     "mrt",
-    "align_phases",
     "alternating_optimize",
     "optimize_rows",
     "quantize_phases",
@@ -70,15 +69,6 @@ def mrt(h: np.ndarray) -> np.ndarray:
     return h / norm
 
 
-def _align(t: np.ndarray, ref: float) -> np.ndarray:
-    """Phases that rotate every contribution t_k onto the reference argument.
-
-    Zero-magnitude contributions get phase 0 (stated tie-break)."""
-    theta = np.mod(ref - np.angle(t), TWO_PI)
-    theta[np.abs(t) == 0] = 0.0
-    return theta
-
-
 def _align_phasors(t: np.ndarray, ref_phasor: complex) -> np.ndarray:
     """exp(1j*theta) for the aligning phases, without trig round trips.
 
@@ -93,19 +83,6 @@ def _align_phasors(t: np.ndarray, ref_phasor: complex) -> np.ndarray:
         phasor /= mag
         return phasor
     return np.divide(np.conj(t) * ref_phasor, mag, out=np.ones_like(t), where=mag > 0)
-
-
-def align_phases(r: ChannelRealization, w: np.ndarray) -> np.ndarray:
-    """Per-element phases aligning all cascaded contributions for a fixed w.
-
-    With the direct path present, contributions rotate onto its argument;
-    otherwise onto 0.  After alignment the scalar effective channel magnitude
-    is the sum of the contribution magnitudes.
-    """
-    rows, direct_row = cascade_rows(r)
-    t = rows @ np.asarray(w, dtype=complex)
-    ref = float(np.angle(direct_row @ w)) if direct_row is not None else 0.0
-    return _align(t, ref).reshape(r.L, r.N)
 
 
 def optimize_rows(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import config, experiments
 
@@ -31,36 +30,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_list(raw: str) -> list[int]:
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
+def _comma_list(parse):
+    """argparse type: a comma-separated list, each element read by ``parse``."""
 
+    def read(raw: str) -> list:
+        try:
+            return [parse(part.strip()) for part in raw.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad element in {raw!r}: {exc}") from exc
 
-def _float_list(raw: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {raw!r}")
-
-
-def _snr_list(raw: str) -> list[float | None]:
-    values: list[float | None] = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part == "data":
-            values.append(None)
-        elif part in ("inf", "+inf"):
-            values.append(float("inf"))
-        else:
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad pilot SNR value {part!r}")
-    return values
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-vs-uavs", help="mean achievable rate versus swarm size")
     common(p)
-    p.add_argument("--l-values", type=_int_list, default=[1, 5, 10, 20])
+    p.add_argument("--l-values", type=_comma_list(int), default=[1, 5, 10, 20])
     p.add_argument(
         "--optimize", action=argparse.BooleanOptionalAction, default=True,
         help="grid-optimize the swarm center per point (default on)",
@@ -86,26 +65,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-vs-radius", help="mean achievable rate versus cluster radii")
     common(p)
-    p.add_argument("--ra-values", type=_float_list, default=[5.0, 25.0, 50.0])
-    p.add_argument("--ru-values", type=_float_list, default=[100.0])
+    p.add_argument("--ra-values", type=_comma_list(float), default=[5.0, 25.0, 50.0])
+    p.add_argument("--ru-values", type=_comma_list(float), default=[100.0])
 
     p = sub.add_parser("estimate", help="estimation overhead/accuracy sweep")
     common(p)
-    p.add_argument("--n-groups", type=_int_list, default=None,
+    p.add_argument("--n-groups", type=_comma_list(int), default=None,
                    help="comma-separated sub-surface counts (default: est.n_groups)")
-    p.add_argument("--pilot-snr-db", type=_snr_list, default=None,
+    p.add_argument("--pilot-snr-db", type=_comma_list(config.parse_pilot_snr), default=None,
                    help="comma-separated pilot SNRs in dB; 'inf' or 'data' allowed")
     return parser
 
 
 def _load_config(ns) -> config.SimConfig:
     settings = config.parse_file(ns.config) if ns.config else {}
-    cfg = config.apply_settings(settings)
-    if ns.seed is not None:
-        cfg.scenario = replace(cfg.scenario, seed=ns.seed)
-    if ns.trials is not None:
-        cfg.scenario = replace(cfg.scenario, trials=ns.trials)
-    return cfg
+    for key, value in (("scenario.seed", ns.seed), ("scenario.trials", ns.trials)):
+        if value is not None:
+            settings[key] = str(value)
+    return config.apply_settings(settings)
 
 
 def main(argv=None) -> int:
@@ -117,33 +94,30 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(ns)
-    except (config.ConfigError, ValueError) as exc:
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     out = ns.out or DEFAULT_OUT[ns.command]
     sc = cfg.scenario
-    digest = config.digest(cfg)
     try:
         if ns.command == "deploy-map":
-            experiments.run_deploy_map(sc, cfg.grid, out_path=out, bf=cfg.bf, config_digest=digest)
+            table = experiments.run_deploy_map(sc, cfg.grid, bf=cfg.bf)
         elif ns.command == "rate-vs-uavs":
             table = experiments.run_rate_vs_uavs(
                 sc, ns.l_values, optimize_deployment=ns.optimize,
                 grid=cfg.grid, bf=cfg.bf, search_trials=cfg.search_trials,
             )
-            experiments.write_csv(out, table.columns, table.rows, sc.seed, digest)
         elif ns.command == "rate-vs-radius":
             table = experiments.run_rate_vs_radius(
                 sc, ns.ra_values, ns.ru_values,
                 grid=cfg.grid, bf=cfg.bf, search_trials=cfg.search_trials,
             )
-            experiments.write_csv(out, table.columns, table.rows, sc.seed, digest)
-        elif ns.command == "estimate":
+        else:
             n_groups = ns.n_groups or [cfg.est_n_groups]
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
             table = experiments.run_estimation_sweep(sc, n_groups, snrs, bf=cfg.bf)
-            experiments.write_csv(out, table.columns, table.rows, sc.seed, digest)
+        experiments.write_csv(out, table.columns, table.rows, sc.seed, config.digest(cfg))
     except experiments.SweepError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

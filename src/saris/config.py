@@ -11,17 +11,26 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .beamforming import BfOptions
 from .channel import dbm_to_watts
 from .deployment import Grid2D
-from .experiments import DEFAULT_SEARCH_TRIALS, Scenario
+from .experiments import DEFAULT_SEARCH_TRIALS, Scenario, _fmt
 
-__all__ = ["ConfigError", "SimConfig", "parse_file", "apply_settings", "to_items", "digest"]
+__all__ = [
+    "ConfigError",
+    "SimConfig",
+    "parse_file",
+    "parse_pilot_snr",
+    "apply_settings",
+    "to_items",
+    "digest",
+]
 
 
 class ConfigError(Exception):
-    """Invalid, unknown, or missing configuration input."""
+    """Invalid or unknown configuration input."""
 
 
 @dataclass
@@ -34,108 +43,59 @@ class SimConfig:
     search_trials: int = DEFAULT_SEARCH_TRIALS
 
 
-def _parse_float(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {raw!r}") from exc
+def parse_pilot_snr(raw: str) -> float | None:
+    """A pilot SNR in dB (``inf`` allowed), or ``data``: reuse the data noise
+    power, returned as None."""
+    return None if raw == "data" else float(raw)
 
 
-def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {raw!r}") from exc
+def _watts_from_dbm(raw: str) -> float:
+    return dbm_to_watts(float(raw))
 
 
-def _parse_pilot_snr(raw: str) -> float | None:
-    if raw == "data":
-        return None
-    if raw in ("inf", "+inf"):
-        return math.inf
-    return _parse_float(raw)
+def _dbm(watts: float) -> float:
+    return 10.0 * math.log10(watts) + 30.0
 
 
-def _parse_direct_mode(raw: str) -> str:
-    if raw not in ("blocked", "terrestrial_nlos"):
-        raise ConfigError(f"direct_link_mode must be 'blocked' or 'terrestrial_nlos', got {raw!r}")
-    return raw
+def _same(value):
+    return value
 
 
-# key -> (parser, setter(cfg, value)); setters rebuild the frozen sub-configs.
-def _set_scenario(name):
-    def setter(cfg: SimConfig, value):
-        cfg.scenario = replace(cfg.scenario, **{name: value})
-
-    return setter
+def _listed_snr(snr_db: float | None):
+    return "data" if snr_db is None else snr_db
 
 
-def _set_env(name):
-    def setter(cfg: SimConfig, value):
-        cfg.scenario = replace(cfg.scenario, env=replace(cfg.scenario.env, **{name: value}))
-
-    return setter
-
-
-def _set_bf(name):
-    def setter(cfg: SimConfig, value):
-        cfg.bf = replace(cfg.bf, **{name: value})
-
-    return setter
-
-
-def _set_grid(name):
-    def setter(cfg: SimConfig, value):
-        cfg.grid = replace(cfg.grid, **{name: value})
-
-    return setter
-
-
-def _set_attr(name):
-    def setter(cfg: SimConfig, value):
-        setattr(cfg, name, value)
-
-    return setter
-
-
-def _set_noise_dbm(cfg: SimConfig, value):
-    cfg.scenario = replace(cfg.scenario, noise_w=dbm_to_watts(value))
-
-
-def _set_tx_dbm(cfg: SimConfig, value):
-    cfg.scenario = replace(cfg.scenario, p_tx_w=dbm_to_watts(value))
-
-
+# key -> (field path in SimConfig, parser of the raw text, field value -> listed value)
 _KEYS = {
-    "scenario.M": (_parse_int, _set_scenario("M")),
-    "scenario.N": (_parse_int, _set_scenario("N")),
-    "scenario.L": (_parse_int, _set_scenario("L")),
-    "scenario.r_a_m": (_parse_float, _set_scenario("r_a_m")),
-    "scenario.r_u_m": (_parse_float, _set_scenario("r_u_m")),
-    "scenario.x_u_m": (_parse_float, _set_scenario("x_u_m")),
-    "scenario.eta_reflect": (_parse_float, _set_scenario("eta_reflect")),
-    "scenario.noise_dbm": (_parse_float, _set_noise_dbm),
-    "scenario.direct_link_mode": (_parse_direct_mode, _set_scenario("direct_link_mode")),
-    "scenario.trials": (_parse_int, _set_scenario("trials")),
-    "scenario.seed": (_parse_int, _set_scenario("seed")),
-    "tx.power_dbm": (_parse_float, _set_tx_dbm),
-    "env.a": (_parse_float, _set_env("a")),
-    "env.b": (_parse_float, _set_env("b")),
-    "env.eta_los_db": (_parse_float, _set_env("eta_los_db")),
-    "env.eta_nlos_db": (_parse_float, _set_env("eta_nlos_db")),
-    "env.fc_hz": (_parse_float, _set_env("f_c")),
-    "bf.tol": (_parse_float, _set_bf("tol")),
-    "bf.max_iter": (_parse_int, _set_bf("max_iter")),
-    "bf.phase_bits": (_parse_int, _set_bf("phase_bits")),
-    "est.n_groups": (_parse_int, _set_attr("est_n_groups")),
-    "est.pilot_snr_db": (_parse_pilot_snr, _set_attr("est_pilot_snr_db")),
-    "grid.x_min_m": (_parse_float, _set_grid("x_min")),
-    "grid.x_max_m": (_parse_float, _set_grid("x_max")),
-    "grid.x_step_m": (_parse_float, _set_grid("x_step")),
-    "grid.z_min_m": (_parse_float, _set_grid("z_min")),
-    "grid.z_max_m": (_parse_float, _set_grid("z_max")),
-    "grid.z_step_m": (_parse_float, _set_grid("z_step")),
-    "grid.search_trials": (_parse_int, _set_attr("search_trials")),
+    "scenario.M": ("scenario.M", int, _same),
+    "scenario.N": ("scenario.N", int, _same),
+    "scenario.L": ("scenario.L", int, _same),
+    "scenario.r_a_m": ("scenario.r_a_m", float, _same),
+    "scenario.r_u_m": ("scenario.r_u_m", float, _same),
+    "scenario.x_u_m": ("scenario.x_u_m", float, _same),
+    "scenario.eta_reflect": ("scenario.eta_reflect", float, _same),
+    "scenario.noise_dbm": ("scenario.noise_w", _watts_from_dbm, _dbm),
+    "scenario.direct_link_mode": ("scenario.direct_link_mode", str, _same),
+    "scenario.trials": ("scenario.trials", int, _same),
+    "scenario.seed": ("scenario.seed", int, _same),
+    "tx.power_dbm": ("scenario.p_tx_w", _watts_from_dbm, _dbm),
+    "env.a": ("scenario.env.a", float, _same),
+    "env.b": ("scenario.env.b", float, _same),
+    "env.eta_los_db": ("scenario.env.eta_los_db", float, _same),
+    "env.eta_nlos_db": ("scenario.env.eta_nlos_db", float, _same),
+    "env.fc_hz": ("scenario.env.f_c", float, _same),
+    "bf.tol": ("bf.tol", float, _same),
+    "bf.max_iter": ("bf.max_iter", int, _same),
+    "bf.phase_bits": ("bf.phase_bits", int, _same),
+    "est.n_groups": ("est_n_groups", int, _same),
+    "est.pilot_snr_db": ("est_pilot_snr_db", parse_pilot_snr, _listed_snr),
+    "grid.x_min_m": ("grid.x_min", float, _same),
+    "grid.x_max_m": ("grid.x_max", float, _same),
+    "grid.x_step_m": ("grid.x_step", float, _same),
+    "grid.z_min_m": ("grid.z_min", float, _same),
+    "grid.z_max_m": ("grid.z_max", float, _same),
+    "grid.z_step_m": ("grid.z_step", float, _same),
+    "grid.search_trials": ("search_trials", int, _same),
 }
 
 
@@ -144,7 +104,7 @@ def parse_file(path) -> dict[str, str]:
     try:
         with open(path) as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
 
     settings: dict[str, str] = {}
@@ -163,65 +123,35 @@ def parse_file(path) -> dict[str, str]:
     return settings
 
 
-def apply_settings(settings: dict[str, str], base: SimConfig | None = None) -> SimConfig:
-    """Overlay raw settings on the defaults (or a given base config)."""
-    cfg = base or SimConfig()
+def _replace_path(obj, names: list[str], value):
+    """``obj`` with the field at the path ``names`` set to ``value``.  Every
+    dataclass on the path is rebuilt by ``replace``, so each re-validates."""
+    name, *rest = names
+    if rest:
+        value = _replace_path(getattr(obj, name), rest, value)
+    return replace(obj, **{name: value})
+
+
+def apply_settings(settings: dict[str, str]) -> SimConfig:
+    """Overlay raw settings, in order, on the defaults."""
+    cfg = SimConfig()
     for key, raw in settings.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        parser, setter = _KEYS[key]
+        path, parse, _ = _KEYS[key]
         try:
-            value = parser(raw)
-            setter(cfg, value)
-        except ConfigError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-        except ValueError as exc:
+            cfg = _replace_path(cfg, path.split("."), parse(raw))
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     return cfg
 
 
-def require(settings: dict[str, str], *keys: str) -> None:
-    for key in keys:
-        if key not in settings:
-            raise ConfigError(f"missing required config key {key!r}")
-
-
 def to_items(cfg: SimConfig) -> list[tuple[str, str]]:
     """Canonical (key, value) listing of the fully resolved configuration."""
-    sc, env, bf, grid = cfg.scenario, cfg.scenario.env, cfg.bf, cfg.grid
-    snr = cfg.est_pilot_snr_db
-    values = {
-        "scenario.M": sc.M,
-        "scenario.N": sc.N,
-        "scenario.L": sc.L,
-        "scenario.r_a_m": sc.r_a_m,
-        "scenario.r_u_m": sc.r_u_m,
-        "scenario.x_u_m": sc.x_u_m,
-        "scenario.eta_reflect": sc.eta_reflect,
-        "scenario.noise_dbm": 10.0 * math.log10(sc.noise_w) + 30.0,
-        "scenario.direct_link_mode": sc.direct_link_mode,
-        "scenario.trials": sc.trials,
-        "scenario.seed": sc.seed,
-        "tx.power_dbm": 10.0 * math.log10(sc.p_tx_w) + 30.0,
-        "env.a": env.a,
-        "env.b": env.b,
-        "env.eta_los_db": env.eta_los_db,
-        "env.eta_nlos_db": env.eta_nlos_db,
-        "env.fc_hz": env.f_c,
-        "bf.tol": bf.tol,
-        "bf.max_iter": bf.max_iter,
-        "bf.phase_bits": bf.phase_bits,
-        "est.n_groups": cfg.est_n_groups,
-        "est.pilot_snr_db": "data" if snr is None else snr,
-        "grid.x_min_m": grid.x_min,
-        "grid.x_max_m": grid.x_max,
-        "grid.x_step_m": grid.x_step,
-        "grid.z_min_m": grid.z_min,
-        "grid.z_max_m": grid.z_max,
-        "grid.z_step_m": grid.z_step,
-        "grid.search_trials": cfg.search_trials,
-    }
-    return [(key, format(v, ".10g") if isinstance(v, float) else str(v)) for key, v in sorted(values.items())]
+    return [
+        (key, _fmt(listed(reduce(getattr, path.split("."), cfg))))
+        for key, (path, _, listed) in sorted(_KEYS.items())
+    ]
 
 
 def digest(cfg: SimConfig) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 from . import estimation
 from .beamforming import BfOptions
 from .channel import ENV_PRESETS, EnvParams, dbm_to_watts
-from .deployment import GainMap, Grid2D, _draw_trial, collect_metrics, grid_search
+from .deployment import Grid2D, _draw_trial, collect_metrics, grid_search
 from .geometry import Point3
 from .streams import mix_seed, substream
 
@@ -68,6 +68,10 @@ class Scenario:
             raise ValueError("power levels must be > 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.direct_link_mode not in ("blocked", "terrestrial_nlos"):
+            raise ValueError(
+                f"direct_link_mode must be 'blocked' or 'terrestrial_nlos', got {self.direct_link_mode!r}"
+            )
 
     @property
     def baseline_center(self) -> Point3:
@@ -98,10 +102,6 @@ def _check_search_trials(search_trials: int) -> None:
 class ResultTable:
     columns: list[str]
     rows: list[tuple]
-
-    def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
 
 def _fmt(value) -> str:
@@ -161,24 +161,19 @@ def _optimized_center(
 def run_deploy_map(
     scenario: Scenario,
     grid: Grid2D,
-    out_path=None,
     bf: BfOptions | None = None,
-    config_digest: str = "",
-) -> GainMap:
-    """Gain surface over the (x, z) grid; optionally writes the CSV and
-    prints the argmax cell."""
-    bf = bf or BfOptions()
-    gm = grid_search(scenario, grid, scenario.trials, scenario.seed, bf=bf, objective="gain")
-    if out_path is not None:
-        rows = [
-            (float(x), float(z), float(gm.mean_gain_db[ix, iz]))
-            for ix, x in enumerate(grid.x_values)
-            for iz, z in enumerate(grid.z_values)
-        ]
-        write_csv(out_path, ["x_m", "z_m", "mean_gain_db"], rows, scenario.seed, config_digest)
+) -> ResultTable:
+    """Gain surface over the (x, z) grid, one row per cell, row-major in x
+    then z; prints the argmax cell."""
+    gm = grid_search(scenario, grid, scenario.trials, scenario.seed, bf=bf or BfOptions(), objective="gain")
+    rows = [
+        (float(x), float(z), float(gm.mean_gain_db[ix, iz]))
+        for ix, x in enumerate(grid.x_values)
+        for iz, z in enumerate(grid.z_values)
+    ]
     x_star, z_star, gain_star = gm.best
     print(f"best cell: x={x_star:g} m, z={z_star:g} m, mean gain {gain_star:.3f} dB")
-    return gm
+    return ResultTable(["x_m", "z_m", "mean_gain_db"], rows)
 
 
 def run_rate_vs_uavs(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_realization, random_realization, unit_realization
 from saris.beamforming import (
     BeamformingSolution,
-    align_phases,
+    _align_phasors,
     alternating_optimize,
     mrt,
     quantize_phases,
@@ -64,6 +64,18 @@ class TestMrt:
             assert np.linalg.norm(mrt(h)) == pytest.approx(1.0, abs=1e-12)
 
 
+def align_phases(r, w):
+    """The phases optimize_rows' phase half-step picks for a fixed precoder w:
+    every contribution rotated onto the direct path's argument, or onto 0."""
+    rows, direct_row = cascade_rows(r)
+    ref_phasor = 1.0
+    if direct_row is not None:
+        d = complex(direct_row @ w)
+        ref_phasor = d / abs(d)
+    phasor = _align_phasors(rows @ w, ref_phasor)
+    return np.mod(np.angle(phasor), TWO_PI).reshape(r.L, r.N)
+
+
 class TestAlignPhases:
     def test_worked_two_element_case(self):
         # single UAV, M=1, N=2, h_r = (1, e^{j pi/2}), g = (1, 1), eta = 1
@@ -107,6 +119,8 @@ class TestAlignPhases:
         r = make_realization([np.array([[1.0], [0.0]])], [np.ones((1, 2))], eta=1.0)
         theta = align_phases(r, np.array([1.0 + 0j]))
         assert theta[0, 1] == 0.0
+        rows, _ = cascade_rows(r)
+        assert _align_phasors(rows @ np.array([1.0 + 0j]), 1.0)[1] == 1.0  # unit modulus kept
 
     def test_direct_link_reference(self, rng):
         r = random_realization(rng, 2, 3, 4, direct=True)

@@ -1,9 +1,13 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
 from saris import config
 from saris.channel import dbm_to_watts
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestParseFile:
@@ -34,10 +38,10 @@ class TestParseFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(config.ConfigError, match="cannot read"):
             config.parse_file(tmp_path / "nope.cfg")
-
-    def test_require_names_missing_key(self):
-        with pytest.raises(config.ConfigError, match="scenario.L"):
-            config.require({"env.a": "1"}, "scenario.L")
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe scenario.L = 5\n")
+        with pytest.raises(config.ConfigError, match="cannot read"):
+            config.parse_file(binary)
 
 
 class TestApplySettings:
@@ -81,8 +85,10 @@ class TestApplySettings:
         assert cfg.est_pilot_snr_db is None
 
     def test_bad_value_mentions_key(self):
-        with pytest.raises(config.ConfigError, match="scenario.M"):
-            config.apply_settings({"scenario.M": "many"})
+        # "5000" dBm overflows the conversion to watts
+        for key, raw in [("scenario.M", "many"), ("scenario.noise_dbm", "5000"), ("est.pilot_snr_db", "loud")]:
+            with pytest.raises(config.ConfigError, match=key):
+                config.apply_settings({key: raw})
 
     def test_invalid_domain_value_is_config_error(self):
         with pytest.raises(config.ConfigError, match="scenario.L"):
@@ -91,6 +97,83 @@ class TestApplySettings:
     def test_bad_direct_mode(self):
         with pytest.raises(config.ConfigError, match="direct_link_mode"):
             config.apply_settings({"scenario.direct_link_mode": "sometimes"})
+
+
+# every key at a value other than its default, written as to_items lists it
+NON_DEFAULT = {
+    "scenario.M": "8",
+    "scenario.N": "4",
+    "scenario.L": "5",
+    "scenario.r_a_m": "7.5",
+    "scenario.r_u_m": "60",
+    "scenario.x_u_m": "250",
+    "scenario.eta_reflect": "0.8",
+    "scenario.noise_dbm": "-95",
+    "scenario.direct_link_mode": "terrestrial_nlos",
+    "scenario.trials": "12",
+    "scenario.seed": "7",
+    "tx.power_dbm": "30",
+    "env.a": "9.61",
+    "env.b": "0.16",
+    "env.eta_los_db": "1",
+    "env.eta_nlos_db": "20",
+    "env.fc_hz": "3500000000",
+    "bf.tol": "0.0001",
+    "bf.max_iter": "40",
+    "bf.phase_bits": "3",
+    "est.n_groups": "10",
+    "est.pilot_snr_db": "15",
+    "grid.x_min_m": "10",
+    "grid.x_max_m": "300",
+    "grid.x_step_m": "30",
+    "grid.z_min_m": "40",
+    "grid.z_max_m": "200",
+    "grid.z_step_m": "20",
+    "grid.search_trials": "9",
+}
+
+
+def _fields(obj, prefix=""):
+    """(dotted path, value) of every non-dataclass field, recursively."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _fields(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+class TestKeyTable:
+    def test_every_key_sets_its_own_field(self):
+        default = dict(_fields(config.SimConfig()))
+        cfg = config.apply_settings(NON_DEFAULT)
+        changed = {path for path, value in _fields(cfg) if value != default[path]}
+        unchanged = set(default) - changed
+        # one field per key; only the BS position has no key
+        assert len(changed) == len(NON_DEFAULT) == len(config.to_items(cfg))
+        assert all(path.startswith("scenario.bs.") for path in unchanged)
+        assert dict(config.to_items(cfg)) == NON_DEFAULT
+
+    def test_listing_reapplies_to_itself(self):
+        items = config.to_items(config.apply_settings(NON_DEFAULT))
+        assert config.to_items(config.apply_settings(dict(items))) == items
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("deployment_map.cfg", "72911e70588a"),
+            ("estimation.cfg", "93a5743d6132"),
+            ("rate_vs_radius.cfg", "f6fc08d50d53"),
+            ("rate_vs_uavs.cfg", "f6fc08d50d53"),
+            ({}, "09739442f55a"),
+            ({"est.pilot_snr_db": "inf"}, "3d9a13209463"),
+        ],
+    )
+    def test_digest_pinned(self, source, expected):
+        # the digests every CSV header carries; changing one changes the CSVs
+        if isinstance(source, str):
+            source = config.parse_file(CONFIGS / source)
+        assert config.digest(config.apply_settings(source)) == expected
 
 
 class TestDigest:
@@ -109,9 +192,7 @@ class TestDigest:
         assert config.digest(cfg2) == config.digest(cfg)
 
     def test_shipped_configs_parse(self):
-        import pathlib
-
         for name in ("deployment_map", "rate_vs_uavs", "rate_vs_radius", "estimation"):
-            path = pathlib.Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg"
+            path = CONFIGS / f"{name}.cfg"
             cfg = config.apply_settings(config.parse_file(path))
             assert cfg.scenario.trials >= 1

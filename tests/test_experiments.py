@@ -42,31 +42,25 @@ class TestScenario:
             Scenario(r_a_m=0)
         with pytest.raises(ValueError):
             Scenario(trials=0)
+        with pytest.raises(ValueError, match="direct_link_mode"):
+            Scenario(direct_link_mode="sometimes")
 
 
 class TestRunDeployMap:
-    def test_writes_csv_row_major(self, tmp_path, capsys):
+    def test_rows_row_major(self, capsys):
         sc = tiny_scenario(trials=3)
-        out = tmp_path / "map.csv"
-        gm = run_deploy_map(sc, TINY_GRID, out_path=out, config_digest="abc123")
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# seed=11 config=abc123"
-        assert lines[1] == "x_m,z_m,mean_gain_db"
-        assert len(lines) == 2 + 3 * 2  # comment + header + one row per cell
-        first = lines[2].split(",")
-        assert (float(first[0]), float(first[1])) == (0.0, 50.0)
+        table = run_deploy_map(sc, TINY_GRID)
+        assert table.columns == ["x_m", "z_m", "mean_gain_db"]
+        assert len(table.rows) == 3 * 2  # one row per cell
         # row-major in x then z: second row advances z
-        second = lines[3].split(",")
-        assert (float(second[0]), float(second[1])) == (0.0, 150.0)
-        assert "best cell:" in capsys.readouterr().out
-        assert gm.mean_gain_db.shape == (3, 2)
+        assert [row[:2] for row in table.rows[:3]] == [(0.0, 50.0), (0.0, 150.0), (100.0, 50.0)]
+        best = max(table.rows, key=lambda row: row[2])
+        assert f"best cell: x={best[0]:g} m, z={best[1]:g} m" in capsys.readouterr().out
 
-    def test_single_cell_map(self, tmp_path):
+    def test_single_cell_map(self):
         sc = tiny_scenario(trials=3)
         grid = Grid2D(x_min=100, x_max=101, x_step=10, z_min=80, z_max=81, z_step=10)
-        out = tmp_path / "one.csv"
-        run_deploy_map(sc, grid, out_path=out)
-        assert len(out.read_text().splitlines()) == 3
+        assert len(run_deploy_map(sc, grid).rows) == 1
 
 
 class TestRateTables:
@@ -194,6 +188,10 @@ class TestCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_trials_flag_checked_like_the_key(self, tmp_path, capsys):
+        assert self.run("deploy-map", "--trials", "0", "--out", str(tmp_path / "m.csv")) == 1
+        assert "config key 'scenario.trials': trials must be >= 1" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         assert self.run("deploy-map", "--frobnicate") == 1
         assert "usage" in capsys.readouterr().err
@@ -268,17 +266,19 @@ class TestCli:
         assert self.run("rate-vs-radius", "--out", str(tmp_path / "r.csv")) == 2
         assert "error: solver diverged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("estimate", "--n-groups", "2,3", "--pilot-snr-db", "inf"),
-            ("estimate", "--n-groups", "2", "--pilot-snr-db", "inf,nan"),
-            ("rate-vs-uavs", "--l-values", "1,0"),
-            ("rate-vs-uavs", "--l-values", ""),
-            ("rate-vs-radius", "--ra-values", "5,-1"),
-        ],
-    )
-    def test_bad_sweep_exits_one_before_any_trial(self, args, tmp_path, monkeypatch, capsys):
+    BAD_SWEEPS = [  # (CLI arguments, what stderr says)
+        (("estimate", "--n-groups", "2,3", "--pilot-snr-db", "inf"), "config error"),
+        (("estimate", "--n-groups", "2", "--pilot-snr-db", "inf,nan"), "config error"),
+        (("rate-vs-uavs", "--l-values", "1,0"), "config error"),
+        (("rate-vs-uavs", "--l-values", ""), "config error"),
+        (("rate-vs-radius", "--ra-values", "5,-1"), "config error"),
+        (("rate-vs-uavs", "--l-values", "1,x"), "usage"),
+        (("rate-vs-radius", "--ra-values", "5,y"), "usage"),
+        (("estimate", "--pilot-snr-db", "abc"), "usage"),
+    ]
+
+    @pytest.mark.parametrize("args, message", BAD_SWEEPS, ids=[f"args{i}" for i in range(len(BAD_SWEEPS))])
+    def test_bad_sweep_exits_one_before_any_trial(self, args, message, tmp_path, monkeypatch, capsys):
         def no_trials(*a, **kw):
             raise AssertionError("Monte Carlo work started before the sweep was validated")
 
@@ -289,7 +289,7 @@ class TestCli:
         cfg.write_text("scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n")
         command, *extra = args
         assert self.run(command, "--config", str(cfg), "--out", str(tmp_path / "o.csv"), *extra) == 1
-        assert "config error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("eta", ["0", "1.5", "-0.2"])
     def test_reflection_efficiency_out_of_range_exits_one(self, eta, tmp_path, capsys):
