@@ -24,7 +24,7 @@ from .channel import (
     realize_channels,
     ula_response,
 )
-from .deployment import GainMap, Grid2D, evaluate_position, grid_search
+from .deployment import GainMap, Grid2D, Scenario, evaluate_position, grid_search
 from .estimation import (
     EstimationResult,
     PilotBook,
@@ -37,7 +37,6 @@ from .estimation import (
 )
 from .experiments import (
     ResultTable,
-    Scenario,
     run_deploy_map,
     run_estimation_sweep,
     run_rate_vs_radius,

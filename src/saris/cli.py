@@ -99,25 +99,18 @@ def main(argv=None) -> int:
         return 1
 
     out = ns.out or DEFAULT_OUT[ns.command]
-    sc = cfg.scenario
     try:
         if ns.command == "deploy-map":
-            table = experiments.run_deploy_map(sc, cfg.grid, bf=cfg.bf)
+            table = experiments.run_deploy_map(cfg)
         elif ns.command == "rate-vs-uavs":
-            table = experiments.run_rate_vs_uavs(
-                sc, ns.l_values, optimize_deployment=ns.optimize,
-                grid=cfg.grid, bf=cfg.bf, search_trials=cfg.search_trials,
-            )
+            table = experiments.run_rate_vs_uavs(cfg, ns.l_values, ns.optimize)
         elif ns.command == "rate-vs-radius":
-            table = experiments.run_rate_vs_radius(
-                sc, ns.ra_values, ns.ru_values,
-                grid=cfg.grid, bf=cfg.bf, search_trials=cfg.search_trials,
-            )
+            table = experiments.run_rate_vs_radius(cfg, ns.ra_values, ns.ru_values)
         else:
             n_groups = ns.n_groups or [cfg.est_n_groups]
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
-            table = experiments.run_estimation_sweep(sc, n_groups, snrs, bf=cfg.bf)
-        experiments.write_csv(out, table.columns, table.rows, sc.seed, config.digest(cfg))
+            table = experiments.run_estimation_sweep(cfg, n_groups, snrs)
+        experiments.write_csv(out, table.columns, table.rows, cfg.scenario.seed, config.digest(cfg))
     except experiments.SweepError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

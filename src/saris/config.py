@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 
 from .beamforming import BfOptions
 from .channel import dbm_to_watts
-from .deployment import Grid2D
-from .experiments import DEFAULT_SEARCH_TRIALS, Scenario, _fmt
+from .deployment import Grid2D, Scenario
 
 __all__ = [
     "ConfigError",
@@ -39,8 +38,19 @@ class SimConfig:
     bf: BfOptions = field(default_factory=BfOptions)
     est_n_groups: int = 40
     est_pilot_snr_db: float | None = None  # None = data noise power
-    grid: Grid2D = field(default_factory=Grid2D)
-    search_trials: int = DEFAULT_SEARCH_TRIALS
+    grid: Grid2D = field(default_factory=Grid2D)  # also the rate sweeps' search grid
+    search_trials: int = 100  # trials per cell of a rate sweep's search
+
+    def __post_init__(self):
+        if self.search_trials < 1:
+            raise ValueError(f"search trials must be >= 1, got {self.search_trials}")
+
+
+def _fmt(value) -> str:
+    """A config or CSV value as text; floats keep 10 significant digits."""
+    if isinstance(value, float):
+        return format(value, ".10g")
+    return str(value)
 
 
 def parse_pilot_snr(raw: str) -> float | None:
@@ -123,27 +133,42 @@ def parse_file(path) -> dict[str, str]:
     return settings
 
 
-def _replace_path(obj, names: list[str], value):
-    """``obj`` with the field at the path ``names`` set to ``value``.  Every
-    dataclass on the path is rebuilt by ``replace``, so each re-validates."""
-    name, *rest = names
-    if rest:
-        value = _replace_path(getattr(obj, name), rest, value)
-    return replace(obj, **{name: value})
+def _build(obj, prefix: str, values: dict):
+    """``obj`` rebuilt once with every field under ``prefix`` set from
+    ``values`` (field path -> (key, value)), so each dataclass validates all of
+    its settings together.  A rejection names the keys set on ``obj`` itself."""
+    changes, keys = {}, []
+    for f in fields(obj):
+        path, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            built = _build(value, path + ".", values)
+            if built is not value:
+                changes[f.name] = built
+        elif path in values:
+            key, changes[f.name] = values[path]
+            keys.append(key)
+    if not changes:
+        return obj
+    try:
+        return replace(obj, **changes)
+    except ValueError as exc:
+        names = ", ".join(repr(key) for key in keys)
+        raise ConfigError(f"config key{'s' if len(keys) > 1 else ''} {names}: {exc}") from exc
 
 
 def apply_settings(settings: dict[str, str]) -> SimConfig:
-    """Overlay raw settings, in order, on the defaults."""
-    cfg = SimConfig()
+    """Overlay raw settings on the defaults: parse every value, then build
+    each dataclass once."""
+    values = {}
     for key, raw in settings.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         path, parse, _ = _KEYS[key]
         try:
-            cfg = _replace_path(cfg, path.split("."), parse(raw))
+            values[path] = (key, parse(raw))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return cfg
+    return _build(SimConfig(), "", values)
 
 
 def to_items(cfg: SimConfig) -> list[tuple[str, str]]:

@@ -120,19 +120,22 @@ def run_estimation(
 
     Pilot noise: if pilot_snr_db is finite, the per-entry noise variance is
     set so the mean received pilot power sits at that SNR; if it is None the
-    absolute data noise power noise_w is used; math.inf means noiseless.
+    absolute data noise power noise_w is used, and must be given; math.inf
+    means noiseless.
     """
     if book.n_pilots != grouping.n_groups + 1:
         raise ValueError("pilot book size does not match the grouping")
     if not np.isfinite(book.condition_number):
         raise ValueError("pilot book is singular")
+    if pilot_snr_db is None and noise_w is None:
+        raise ValueError("pilot noise needs a pilot SNR or the data noise power noise_w")
 
     truth_groups, truth_direct = group_aggregate_channels(r, grouping)
     x_true = np.vstack([truth_direct, truth_groups])  # (N'+1, M)
     y = book.states @ x_true
 
     if pilot_snr_db is None:
-        sigma2 = float(noise_w) if noise_w is not None else 0.0
+        sigma2 = float(noise_w)
     elif math.isinf(pilot_snr_db):
         sigma2 = 0.0
     else:

@@ -1,25 +1,24 @@
-"""Experiment harness: scenario configuration, seeded Monte Carlo sweeps, and
-CSV emission for the deployment surface, rate-trend, and estimation studies.
+"""Experiment harness: seeded Monte Carlo studies of the deployment surface,
+the rate trends and the estimation trade-off, each run from a resolved
+SimConfig, and the CSV writer.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import estimation
-from .beamforming import BfOptions
-from .channel import ENV_PRESETS, EnvParams, dbm_to_watts
-from .deployment import Grid2D, _draw_trial, collect_metrics, grid_search
+from .config import SimConfig, _fmt
+from .deployment import Scenario, _draw_trial, collect_metrics, grid_search
 from .geometry import Point3
 from .streams import mix_seed, substream
 
 __all__ = [
     "SweepError",
-    "Scenario",
     "ResultTable",
     "write_csv",
     "run_deploy_map",
@@ -27,55 +26,6 @@ __all__ = [
     "run_rate_vs_radius",
     "run_estimation_sweep",
 ]
-
-DEFAULT_SEARCH_TRIALS = 100
-BASELINE_ALTITUDE_M = 50.0  # swarm center height above the user-region center
-
-# Coarser grid for the per-point deployment searches inside the rate sweeps;
-# the final rates are still measured at the full trial count.
-DEFAULT_SEARCH_GRID = Grid2D(x_min=0.0, x_max=400.0, x_step=50.0, z_min=20.0, z_max=300.0, z_step=40.0)
-
-
-@dataclass
-class Scenario:
-    """Full simulation scenario; field names mirror the config keys."""
-
-    bs: Point3 = field(default_factory=lambda: Point3(0.0, 0.0, 0.0))
-    M: int = 16
-    N: int = 20
-    L: int = 10
-    r_a_m: float = 10.0
-    r_u_m: float = 100.0
-    x_u_m: float = 200.0
-    eta_reflect: float = 0.9
-    env: EnvParams = field(default_factory=lambda: ENV_PRESETS["dense_urban"])
-    # Macro-BS class transmit power; at -80 dBm noise this puts the optimized
-    # link in the O(1) bit/s/Hz regime where the rate trends are meaningful.
-    p_tx_w: float = dbm_to_watts(43.0)
-    noise_w: float = dbm_to_watts(-80.0)
-    direct_link_mode: str = "blocked"
-    trials: int = 1000
-    seed: int = 42
-
-    def __post_init__(self):
-        if min(self.M, self.N, self.L) < 1:
-            raise ValueError("element counts must be >= 1")
-        if not (self.r_a_m > 0 and self.r_u_m > 0):
-            raise ValueError("cluster radii must be > 0")
-        if not (0 < self.eta_reflect <= 1):
-            raise ValueError("reflection efficiency must be in (0, 1]")
-        if not (self.noise_w > 0 and self.p_tx_w > 0):
-            raise ValueError("power levels must be > 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.direct_link_mode not in ("blocked", "terrestrial_nlos"):
-            raise ValueError(
-                f"direct_link_mode must be 'blocked' or 'terrestrial_nlos', got {self.direct_link_mode!r}"
-            )
-
-    @property
-    def baseline_center(self) -> Point3:
-        return Point3(self.x_u_m, 0.0, BASELINE_ALTITUDE_M)
 
 
 class SweepError(ValueError):
@@ -93,21 +43,10 @@ def _sweep_points(values, make) -> list:
         raise SweepError(str(exc)) from exc
 
 
-def _check_search_trials(search_trials: int) -> None:
-    if search_trials < 1:
-        raise SweepError(f"search trials must be >= 1, got {search_trials}")
-
-
 @dataclass
 class ResultTable:
     columns: list[str]
     rows: list[tuple]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
 
 
 def write_csv(path, columns, rows, seed: int, config_digest: str) -> None:
@@ -139,33 +78,25 @@ def _mean_ci(values: np.ndarray) -> tuple[float, float]:
     return mean, half
 
 
-def _optimized_center(
-    scenario: Scenario,
-    grid: Grid2D,
-    search_trials: int,
-    bf: BfOptions,
-    stream_keys: tuple,
-) -> Point3:
-    """Grid-search the swarm center on the mean-rate objective."""
+def _optimized_center(sc: Scenario, cfg: SimConfig, stream_keys: tuple) -> Point3:
+    """Grid-search the swarm center for the sweep point ``sc`` on the
+    mean-rate objective, over the config's search grid."""
     gm = grid_search(
-        scenario,
-        grid,
-        search_trials,
-        master_seed=mix_seed(scenario.seed, *stream_keys),
-        bf=bf,
+        sc,
+        cfg.grid,
+        cfg.search_trials,
+        master_seed=mix_seed(sc.seed, *stream_keys),
+        bf=cfg.bf,
         objective="rate",
     )
     return Point3(gm.best[0], 0.0, gm.best[1])
 
 
-def run_deploy_map(
-    scenario: Scenario,
-    grid: Grid2D,
-    bf: BfOptions | None = None,
-) -> ResultTable:
+def run_deploy_map(cfg: SimConfig) -> ResultTable:
     """Gain surface over the (x, z) grid, one row per cell, row-major in x
     then z; prints the argmax cell."""
-    gm = grid_search(scenario, grid, scenario.trials, scenario.seed, bf=bf or BfOptions(), objective="gain")
+    sc, grid = cfg.scenario, cfg.grid
+    gm = grid_search(sc, grid, sc.trials, sc.seed, bf=cfg.bf, objective="gain")
     rows = [
         (float(x), float(z), float(gm.mean_gain_db[ix, iz]))
         for ix, x in enumerate(grid.x_values)
@@ -177,12 +108,7 @@ def run_deploy_map(
 
 
 def run_rate_vs_uavs(
-    scenario: Scenario,
-    l_values: list[int],
-    optimize_deployment: bool = True,
-    grid: Grid2D | None = None,
-    bf: BfOptions | None = None,
-    search_trials: int = DEFAULT_SEARCH_TRIALS,
+    cfg: SimConfig, l_values: list[int], optimize_deployment: bool = True
 ) -> ResultTable:
     """Mean achievable rate versus the swarm size L.
 
@@ -190,19 +116,16 @@ def run_rate_vs_uavs(
     reduced trial count, then rated at the full trial count; the baseline
     center sits 50 m above the user-region center.
     """
-    scenarios = _sweep_points(l_values, lambda L: replace(scenario, L=int(L)))
-    _check_search_trials(search_trials)
-    bf = bf or BfOptions()
-    grid = grid or DEFAULT_SEARCH_GRID
+    scenarios = _sweep_points(l_values, lambda L: replace(cfg.scenario, L=int(L)))
     rows = []
     for sc in scenarios:
         base_rng = substream(sc.seed, "rate-vs-uavs", "baseline", sc.L)
-        _, base_rates = collect_metrics(sc, sc.baseline_center, sc.trials, base_rng, bf)
+        _, base_rates = collect_metrics(sc, sc.baseline_center, sc.trials, base_rng, cfg.bf)
         base_mean, base_half = _mean_ci(base_rates)
         if optimize_deployment:
-            center = _optimized_center(sc, grid, search_trials, bf, ("rate-vs-uavs", "search", sc.L))
+            center = _optimized_center(sc, cfg, ("rate-vs-uavs", "search", sc.L))
             opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", sc.L)
-            _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, bf)
+            _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, cfg.bf)
             mean, half = _mean_ci(opt_rates)
         else:
             mean, half = base_mean, base_half
@@ -211,44 +134,37 @@ def run_rate_vs_uavs(
 
 
 def run_rate_vs_radius(
-    scenario: Scenario,
-    r_a_values: list[float],
-    r_u_values: list[float],
-    grid: Grid2D | None = None,
-    bf: BfOptions | None = None,
-    search_trials: int = DEFAULT_SEARCH_TRIALS,
+    cfg: SimConfig, r_a_values: list[float], r_u_values: list[float]
 ) -> ResultTable:
     """Mean achievable rate over the (swarm radius, user radius) cross
     product, with the deployment re-optimized per point."""
     scenarios = _sweep_points(
         [(r_a, r_u) for r_a in r_a_values for r_u in r_u_values],
-        lambda radii: replace(scenario, r_a_m=float(radii[0]), r_u_m=float(radii[1])),
+        lambda radii: replace(cfg.scenario, r_a_m=float(radii[0]), r_u_m=float(radii[1])),
     )
-    _check_search_trials(search_trials)
-    bf = bf or BfOptions()
-    grid = grid or DEFAULT_SEARCH_GRID
     rows = []
     for sc in scenarios:
         r_a, r_u = sc.r_a_m, sc.r_u_m
-        center = _optimized_center(sc, grid, search_trials, bf, ("rate-vs-radius", "search", r_a, r_u))
+        center = _optimized_center(sc, cfg, ("rate-vs-radius", "search", r_a, r_u))
         rng = substream(sc.seed, "rate-vs-radius", "rate", r_a, r_u)
-        _, rates = collect_metrics(sc, center, sc.trials, rng, bf)
+        _, rates = collect_metrics(sc, center, sc.trials, rng, cfg.bf)
         mean, half = _mean_ci(rates)
         rows.append((r_a, r_u, mean, half))
     return ResultTable(["r_a_m", "r_u_m", "mean_rate_bps_hz", "ci95"], rows)
 
 
 def _check_pilot_snr(snr_db: float | None) -> float | None:
-    if snr_db is not None and math.isnan(snr_db):
-        raise ValueError("pilot SNR must be a number, inf or 'data', got nan")
+    # -inf dB would be infinitely noisy pilots, but the noise model reads it
+    # as noiseless; reject it along with nan
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"pilot SNR must be a number, inf or 'data', got {snr_db}")
     return snr_db
 
 
 def run_estimation_sweep(
-    scenario: Scenario,
+    cfg: SimConfig,
     n_groups_values: list[int],
     pilot_snr_values: list[float | None],
-    bf: BfOptions | None = None,
 ) -> ResultTable:
     """Estimation overhead/accuracy trade-off over (n_groups, pilot SNR).
 
@@ -256,11 +172,11 @@ def run_estimation_sweep(
     the group-level beamformer is built from the estimates, and the achieved
     rate is compared against the perfect-CSI per-element solution.
     """
+    scenario, bf = cfg.scenario, cfg.bf
     groupings = _sweep_points(
         n_groups_values, lambda g: estimation.group_subsurfaces(scenario.L, scenario.N, int(g))
     )
     pilot_snr_values = _sweep_points(pilot_snr_values, _check_pilot_snr)
-    bf = bf or BfOptions()
     rows = []
     for grouping in groupings:
         n_groups = grouping.n_groups

@@ -13,7 +13,8 @@ from conftest import random_realization, unit_realization
 from saris import cli
 from saris.beamforming import alternating_optimize
 from saris.channel import ENV_PRESETS, LinkState, draw_link, los_probability
-from saris.deployment import Grid2D, grid_search
+from saris.config import SimConfig
+from saris.deployment import Grid2D, Scenario, grid_search
 from saris.estimation import (
     coefficient_count,
     group_aggregate_channels,
@@ -21,7 +22,7 @@ from saris.estimation import (
     pilot_patterns,
     run_estimation,
 )
-from saris.experiments import Scenario, run_rate_vs_radius, run_rate_vs_uavs
+from saris.experiments import run_rate_vs_radius, run_rate_vs_uavs
 from saris.geometry import DiskRegion, Point3, sample_uniform_disk
 from saris.streams import substream
 from test_beamforming import grid_oracle
@@ -43,16 +44,13 @@ def paper_gain_map():
 
 @pytest.fixture(scope="module")
 def rate_vs_uavs_table():
-    return run_rate_vs_uavs(
-        Scenario(), [1, 5, 10, 20], grid=SEARCH_GRID, search_trials=SEARCH_TRIALS
-    )
+    return run_rate_vs_uavs(SimConfig(grid=SEARCH_GRID, search_trials=SEARCH_TRIALS), [1, 5, 10, 20])
 
 
 @pytest.fixture(scope="module")
 def rate_vs_uavs_far_user():
-    return run_rate_vs_uavs(
-        Scenario(x_u_m=400.0), [10], grid=SEARCH_GRID, search_trials=SEARCH_TRIALS
-    )
+    cfg = SimConfig(scenario=Scenario(x_u_m=400.0), grid=SEARCH_GRID, search_trials=SEARCH_TRIALS)
+    return run_rate_vs_uavs(cfg, [10])
 
 
 class TestCriterion01ApertureLaw:
@@ -125,19 +123,15 @@ class TestCriterion04DeploymentGain:
 
 class TestCriterion05RateVsRadii:
     def test_rate_decreases_with_swarm_radius(self):
-        table = run_rate_vs_radius(
-            Scenario(), [5.0, 25.0, 50.0], [100.0],
-            grid=SEARCH_GRID, search_trials=SEARCH_TRIALS,
-        )
+        cfg = SimConfig(grid=SEARCH_GRID, search_trials=SEARCH_TRIALS)
+        table = run_rate_vs_radius(cfg, [5.0, 25.0, 50.0], [100.0])
         rates = [r[2] for r in table.rows]
         assert all(b < a for a, b in zip(rates, rates[1:])), rates
         report("rate vs swarm radius", " > ".join(f"{r:.3f}" for r in rates))
 
     def test_rate_decreases_with_user_region_radius(self):
-        table = run_rate_vs_radius(
-            Scenario(), [10.0], [50.0, 100.0, 150.0],
-            grid=SEARCH_GRID, search_trials=SEARCH_TRIALS,
-        )
+        cfg = SimConfig(grid=SEARCH_GRID, search_trials=SEARCH_TRIALS)
+        table = run_rate_vs_radius(cfg, [10.0], [50.0, 100.0, 150.0])
         rates = [r[2] for r in table.rows]
         assert all(b < a for a, b in zip(rates, rates[1:])), rates
         report("rate vs user radius", " > ".join(f"{r:.3f}" for r in rates))

@@ -91,8 +91,25 @@ class TestApplySettings:
                 config.apply_settings({key: raw})
 
     def test_invalid_domain_value_is_config_error(self):
-        with pytest.raises(config.ConfigError, match="scenario.L"):
-            config.apply_settings({"scenario.L": "0"})
+        for key in ("scenario.L", "grid.search_trials"):
+            with pytest.raises(config.ConfigError, match=key):
+                config.apply_settings({key: "0"})
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"grid.x_min_m": "500", "grid.x_max_m": "600"},
+            {"env.eta_los_db": "25", "env.eta_nlos_db": "30"},
+        ],
+    )
+    def test_related_keys_validate_together(self, settings):
+        # each key alone clashes with the default of the other
+        cfg = config.apply_settings(settings)
+        assert dict(config.to_items(cfg)).items() >= settings.items()
+
+    def test_rejection_names_every_key_of_the_dataclass(self):
+        with pytest.raises(config.ConfigError, match="'grid.x_min_m', 'grid.x_max_m'"):
+            config.apply_settings({"grid.x_min_m": "600", "grid.x_max_m": "500", "scenario.L": "3"})
 
     def test_bad_direct_mode(self):
         with pytest.raises(config.ConfigError, match="direct_link_mode"):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from saris.deployment import Grid2D, collect_metrics, evaluate_position, grid_search
-from saris.experiments import Scenario
+from saris import deployment
+from saris.deployment import Grid2D, Scenario, collect_metrics, evaluate_position, grid_search
 from saris.geometry import Point3
 from saris.streams import substream
 
@@ -11,6 +11,22 @@ def small_scenario(**kw):
     defaults = dict(M=4, N=4, L=3, trials=20)
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+class TestScenario:
+    def test_baseline_center(self):
+        sc = Scenario(x_u_m=350.0)
+        assert sc.baseline_center == Point3(350.0, 0.0, 50.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            Scenario(L=0)
+        with pytest.raises(ValueError):
+            Scenario(r_a_m=0)
+        with pytest.raises(ValueError):
+            Scenario(trials=0)
+        with pytest.raises(ValueError, match="direct_link_mode"):
+            Scenario(direct_link_mode="sometimes")
 
 
 class TestGrid2D:
@@ -82,21 +98,23 @@ class TestGridSearch:
         assert gm.mean_gain_db[0, 0] == direct
         assert gm.best == (100.0, 80.0, direct)
 
-    def test_synthetic_peak_found(self):
+    def test_synthetic_peak_found(self, monkeypatch):
         sc = small_scenario()
         grid = Grid2D(x_min=0, x_max=200, x_step=50, z_min=50, z_max=250, z_step=50)
 
-        def synthetic(scenario, center, trials, rng):
+        def synthetic(scenario, center, trials, rng, bf, objective):
             return -((center.x - 100.0) ** 2 + (center.z - 150.0) ** 2)
 
-        gm = grid_search(sc, grid, 1, master_seed=1, evaluate_fn=synthetic)
+        monkeypatch.setattr(deployment, "evaluate_position", synthetic)
+        gm = grid_search(sc, grid, 1, master_seed=1)
         assert gm.best[:2] == (100.0, 150.0)
         assert gm.is_interior()
 
-    def test_tie_breaks_to_smallest_x_then_z(self):
+    def test_tie_breaks_to_smallest_x_then_z(self, monkeypatch):
         sc = small_scenario()
         grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
-        gm = grid_search(sc, grid, 1, master_seed=1, evaluate_fn=lambda *a: 7.0)
+        monkeypatch.setattr(deployment, "evaluate_position", lambda *a: 7.0)
+        gm = grid_search(sc, grid, 1, master_seed=1)
         assert gm.best == (0.0, 50.0, 7.0)
 
     def test_map_reproducible_from_seed(self):
@@ -118,33 +136,34 @@ class TestGridSearch:
             g_small.mean_gain_db, g_large.mean_gain_db[:2, :2]
         )
 
-    def test_boundary_helpers(self):
+    def test_boundary_helpers(self, monkeypatch):
         grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
         values = np.zeros((3, 3))
         values[1, 1] = 5.0
 
-        def from_table(scenario, center, trials, rng):
+        def from_table(scenario, center, trials, rng, bf, objective):
             ix = int(center.x // 50)
             iz = int((center.z - 50) // 50)
             return values[ix, iz]
 
-        gm = grid_search(small_scenario(), grid, 1, master_seed=1, evaluate_fn=from_table)
+        monkeypatch.setattr(deployment, "evaluate_position", from_table)
+        gm = grid_search(small_scenario(), grid, 1, master_seed=1)
         assert gm.is_interior()
         assert gm.boundary_max() == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_cell_raises_naming_it(self, bad):
+    def test_non_finite_cell_raises_naming_it(self, bad, monkeypatch):
         grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
 
-        def one_bad_cell(scenario, center, trials, rng):
+        def one_bad_cell(scenario, center, trials, rng, bf, objective):
             return bad if (center.x, center.z) == (50.0, 100.0) else 1.0
 
+        monkeypatch.setattr(deployment, "evaluate_position", one_bad_cell)
         with pytest.raises(ValueError, match="x=50 m, z=100 m"):
-            grid_search(small_scenario(), grid, 1, master_seed=1, evaluate_fn=one_bad_cell)
+            grid_search(small_scenario(), grid, 1, master_seed=1)
 
-    def test_all_nan_map_raises_at_first_cell(self):
+    def test_all_nan_map_raises_at_first_cell(self, monkeypatch):
         grid = Grid2D(x_min=0, x_max=100, x_step=50, z_min=50, z_max=150, z_step=50)
+        monkeypatch.setattr(deployment, "evaluate_position", lambda *a: float("nan"))
         with pytest.raises(ValueError, match="x=0 m, z=50 m"):
-            grid_search(
-                small_scenario(), grid, 1, master_seed=1, evaluate_fn=lambda *a: float("nan")
-            )
+            grid_search(small_scenario(), grid, 1, master_seed=1)

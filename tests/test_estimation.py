@@ -152,8 +152,11 @@ class TestRunEstimation:
         book = pilot_patterns(2)
         est = run_estimation(r, grouping, book, None, substream(4, "n"), noise_w=1e-30)
         assert est.mse > 0
-        est0 = run_estimation(r, grouping, book, None, substream(4, "n"), noise_w=None)
-        assert est0.mse < 1e-24
+
+    def test_data_noise_mode_without_noise_power_rejected(self, rng):
+        r = random_realization(rng, 1, 2, 2)
+        with pytest.raises(ValueError, match="noise_w"):
+            run_estimation(r, group_subsurfaces(1, 2, 2), pilot_patterns(2), None, substream(4, "n"))
 
     def test_book_size_mismatch_rejected(self, rng):
         r = random_realization(rng, 1, 4, 2)

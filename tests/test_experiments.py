@@ -7,49 +7,30 @@ from pathlib import Path
 import pytest
 
 from saris import cli, experiments
-from saris.beamforming import BfOptions
-from saris.deployment import Grid2D, collect_metrics
+from saris.config import SimConfig
+from saris.deployment import Grid2D, Scenario, collect_metrics
 from saris.experiments import (
-    Scenario,
     run_deploy_map,
     run_estimation_sweep,
     run_rate_vs_radius,
     run_rate_vs_uavs,
     write_csv,
 )
-from saris.geometry import Point3
 from saris.streams import substream
-
-
-def tiny_scenario(**kw):
-    defaults = dict(M=2, N=2, L=2, trials=8, seed=11)
-    defaults.update(kw)
-    return Scenario(**defaults)
-
 
 TINY_GRID = Grid2D(x_min=0, x_max=200, x_step=100, z_min=50, z_max=150, z_step=100)
 
 
-class TestScenario:
-    def test_baseline_center(self):
-        sc = Scenario(x_u_m=350.0)
-        assert sc.baseline_center == Point3(350.0, 0.0, 50.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Scenario(L=0)
-        with pytest.raises(ValueError):
-            Scenario(r_a_m=0)
-        with pytest.raises(ValueError):
-            Scenario(trials=0)
-        with pytest.raises(ValueError, match="direct_link_mode"):
-            Scenario(direct_link_mode="sometimes")
+def tiny_config(grid=TINY_GRID, search_trials=5, **kw):
+    """A small scenario on the tiny search grid; ``kw`` sets scenario fields."""
+    defaults = dict(M=2, N=2, L=2, trials=8, seed=11)
+    defaults.update(kw)
+    return SimConfig(scenario=Scenario(**defaults), grid=grid, search_trials=search_trials)
 
 
 class TestRunDeployMap:
     def test_rows_row_major(self, capsys):
-        sc = tiny_scenario(trials=3)
-        table = run_deploy_map(sc, TINY_GRID)
+        table = run_deploy_map(tiny_config(trials=3))
         assert table.columns == ["x_m", "z_m", "mean_gain_db"]
         assert len(table.rows) == 3 * 2  # one row per cell
         # row-major in x then z: second row advances z
@@ -58,34 +39,30 @@ class TestRunDeployMap:
         assert f"best cell: x={best[0]:g} m, z={best[1]:g} m" in capsys.readouterr().out
 
     def test_single_cell_map(self):
-        sc = tiny_scenario(trials=3)
         grid = Grid2D(x_min=100, x_max=101, x_step=10, z_min=80, z_max=81, z_step=10)
-        assert len(run_deploy_map(sc, grid).rows) == 1
+        assert len(run_deploy_map(tiny_config(grid=grid, trials=3)).rows) == 1
 
 
 class TestRateTables:
     def test_rate_vs_uavs_columns_and_monotone_l(self):
-        sc = tiny_scenario(trials=60, M=4, N=4)
-        table = run_rate_vs_uavs(sc, [1, 4], grid=TINY_GRID, search_trials=20)
+        table = run_rate_vs_uavs(tiny_config(search_trials=20, trials=60, M=4, N=4), [1, 4])
         assert table.columns == ["L", "mean_rate_bps_hz", "baseline_rate_bps_hz", "ci95"]
         assert [row[0] for row in table.rows] == [1, 4]
         assert table.rows[1][1] > table.rows[0][1]
         assert all(row[3] >= 0 for row in table.rows)
 
     def test_rate_vs_uavs_without_optimization(self):
-        sc = tiny_scenario(trials=10)
-        table = run_rate_vs_uavs(sc, [2], optimize_deployment=False, grid=TINY_GRID, search_trials=5)
+        table = run_rate_vs_uavs(tiny_config(trials=10), [2], optimize_deployment=False)
         assert table.rows[0][1] == table.rows[0][2]
 
     def test_rate_vs_uavs_deterministic(self):
-        sc = tiny_scenario(trials=10)
-        a = run_rate_vs_uavs(sc, [1], grid=TINY_GRID, search_trials=5)
-        b = run_rate_vs_uavs(sc, [1], grid=TINY_GRID, search_trials=5)
+        cfg = tiny_config(trials=10)
+        a = run_rate_vs_uavs(cfg, [1])
+        b = run_rate_vs_uavs(cfg, [1])
         assert a.rows == b.rows
 
     def test_rate_vs_radius_cross_product(self):
-        sc = tiny_scenario(trials=10)
-        table = run_rate_vs_radius(sc, [5.0, 10.0], [50.0, 100.0], grid=TINY_GRID, search_trials=5)
+        table = run_rate_vs_radius(tiny_config(trials=10), [5.0, 10.0], [50.0, 100.0])
         assert [(r[0], r[1]) for r in table.rows] == [
             (5.0, 50.0), (5.0, 100.0), (10.0, 50.0), (10.0, 100.0),
         ]
@@ -94,49 +71,44 @@ class TestRateTables:
         # one (R_A, R_U) pair reduces to optimize-then-rate at that setting
         from saris.experiments import _optimized_center
 
-        sc = tiny_scenario(trials=25)
-        table = run_rate_vs_radius(sc, [10.0], [100.0], grid=TINY_GRID, search_trials=5)
-        bf = BfOptions()
-        center = _optimized_center(sc, TINY_GRID, 5, bf, ("rate-vs-radius", "search", 10.0, 100.0))
+        cfg = tiny_config(trials=25)
+        table = run_rate_vs_radius(cfg, [10.0], [100.0])
+        sc = cfg.scenario  # already at r_a = 10, r_u = 100
+        center = _optimized_center(sc, cfg, ("rate-vs-radius", "search", 10.0, 100.0))
         rng = substream(sc.seed, "rate-vs-radius", "rate", 10.0, 100.0)
-        _, rates = collect_metrics(sc, center, sc.trials, rng, bf)
+        _, rates = collect_metrics(sc, center, sc.trials, rng, cfg.bf)
         assert table.rows[0][2] == pytest.approx(rates.mean(), rel=1e-12)
 
     def test_ci_halfwidth_shrinks_like_inverse_sqrt_trials(self):
         # nearby user region keeps both links in a balanced LoS regime, so
         # the 250-sample std estimate is stable enough for the ratio check
-        sc250 = tiny_scenario(trials=250, M=2, N=2, L=2, x_u_m=50.0)
-        sc1000 = tiny_scenario(trials=1000, M=2, N=2, L=2, x_u_m=50.0)
-        t250 = run_rate_vs_uavs(sc250, [2], optimize_deployment=False, grid=TINY_GRID, search_trials=5)
-        t1000 = run_rate_vs_uavs(sc1000, [2], optimize_deployment=False, grid=TINY_GRID, search_trials=5)
+        t250 = run_rate_vs_uavs(tiny_config(trials=250, x_u_m=50.0), [2], optimize_deployment=False)
+        t1000 = run_rate_vs_uavs(tiny_config(trials=1000, x_u_m=50.0), [2], optimize_deployment=False)
         ratio = t250.rows[0][3] / t1000.rows[0][3]
         assert ratio == pytest.approx(2.0, rel=0.2)
 
 
 class TestEstimationSweep:
     def test_columns_and_overhead(self):
-        sc = tiny_scenario(trials=4, N=4)
-        table = run_estimation_sweep(sc, [1, 2, 8], [math.inf])
+        table = run_estimation_sweep(tiny_config(trials=4, N=4), [1, 2, 8], [math.inf])
         assert table.columns == [
             "n_groups", "overhead", "pilot_snr_db", "mse", "rate_perfect", "rate_estimated",
         ]
         assert [row[1] for row in table.rows] == [2, 3, 9]  # overhead = n_groups + 1
 
     def test_noiseless_per_element_gap_vanishes(self):
-        sc = tiny_scenario(trials=6, N=4)
-        table = run_estimation_sweep(sc, [8], [math.inf])  # L*N = 8 singleton groups
+        # L*N = 8 singleton groups
+        table = run_estimation_sweep(tiny_config(trials=6, N=4), [8], [math.inf])
         row = table.rows[0]
         assert row[4] - row[5] <= 1e-6
 
     def test_estimated_rate_below_perfect(self):
-        sc = tiny_scenario(trials=6, N=4)
-        table = run_estimation_sweep(sc, [1, 2], [10.0])
+        table = run_estimation_sweep(tiny_config(trials=6, N=4), [1, 2], [10.0])
         for row in table.rows:
             assert row[5] <= row[4] + 1e-12
 
     def test_pilot_snr_data_mode_column(self):
-        sc = tiny_scenario(trials=3, N=4)
-        table = run_estimation_sweep(sc, [2], [None])
+        table = run_estimation_sweep(tiny_config(trials=3, N=4), [2], [None])
         assert table.rows[0][2] == "data"
 
 
@@ -275,6 +247,7 @@ class TestCli:
         (("rate-vs-uavs", "--l-values", "1,x"), "usage"),
         (("rate-vs-radius", "--ra-values", "5,y"), "usage"),
         (("estimate", "--pilot-snr-db", "abc"), "usage"),
+        (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "config error"),
     ]
 
     @pytest.mark.parametrize("args, message", BAD_SWEEPS, ids=[f"args{i}" for i in range(len(BAD_SWEEPS))])
