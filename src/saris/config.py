@@ -59,8 +59,15 @@ def parse_pilot_snr(raw: str) -> float | None:
     return None if raw == "data" else float(raw)
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def _watts_from_dbm(raw: str) -> float:
-    return dbm_to_watts(float(raw))
+    return dbm_to_watts(_finite(raw))
 
 
 def _dbm(watts: float) -> float:
@@ -80,31 +87,31 @@ _KEYS = {
     "scenario.M": ("scenario.M", int, _same),
     "scenario.N": ("scenario.N", int, _same),
     "scenario.L": ("scenario.L", int, _same),
-    "scenario.r_a_m": ("scenario.r_a_m", float, _same),
-    "scenario.r_u_m": ("scenario.r_u_m", float, _same),
-    "scenario.x_u_m": ("scenario.x_u_m", float, _same),
-    "scenario.eta_reflect": ("scenario.eta_reflect", float, _same),
+    "scenario.r_a_m": ("scenario.r_a_m", _finite, _same),
+    "scenario.r_u_m": ("scenario.r_u_m", _finite, _same),
+    "scenario.x_u_m": ("scenario.x_u_m", _finite, _same),
+    "scenario.eta_reflect": ("scenario.eta_reflect", _finite, _same),
     "scenario.noise_dbm": ("scenario.noise_w", _watts_from_dbm, _dbm),
     "scenario.direct_link_mode": ("scenario.direct_link_mode", str, _same),
     "scenario.trials": ("scenario.trials", int, _same),
     "scenario.seed": ("scenario.seed", int, _same),
     "tx.power_dbm": ("scenario.p_tx_w", _watts_from_dbm, _dbm),
-    "env.a": ("scenario.env.a", float, _same),
-    "env.b": ("scenario.env.b", float, _same),
-    "env.eta_los_db": ("scenario.env.eta_los_db", float, _same),
-    "env.eta_nlos_db": ("scenario.env.eta_nlos_db", float, _same),
-    "env.fc_hz": ("scenario.env.f_c", float, _same),
-    "bf.tol": ("bf.tol", float, _same),
+    "env.a": ("scenario.env.a", _finite, _same),
+    "env.b": ("scenario.env.b", _finite, _same),
+    "env.eta_los_db": ("scenario.env.eta_los_db", _finite, _same),
+    "env.eta_nlos_db": ("scenario.env.eta_nlos_db", _finite, _same),
+    "env.fc_hz": ("scenario.env.f_c", _finite, _same),
+    "bf.tol": ("bf.tol", _finite, _same),
     "bf.max_iter": ("bf.max_iter", int, _same),
     "bf.phase_bits": ("bf.phase_bits", int, _same),
     "est.n_groups": ("est_n_groups", int, _same),
     "est.pilot_snr_db": ("est_pilot_snr_db", parse_pilot_snr, _listed_snr),
-    "grid.x_min_m": ("grid.x_min", float, _same),
-    "grid.x_max_m": ("grid.x_max", float, _same),
-    "grid.x_step_m": ("grid.x_step", float, _same),
-    "grid.z_min_m": ("grid.z_min", float, _same),
-    "grid.z_max_m": ("grid.z_max", float, _same),
-    "grid.z_step_m": ("grid.z_step", float, _same),
+    "grid.x_min_m": ("grid.x_min", _finite, _same),
+    "grid.x_max_m": ("grid.x_max", _finite, _same),
+    "grid.x_step_m": ("grid.x_step", _finite, _same),
+    "grid.z_min_m": ("grid.z_min", _finite, _same),
+    "grid.z_max_m": ("grid.z_max", _finite, _same),
+    "grid.z_step_m": ("grid.z_step", _finite, _same),
     "grid.search_trials": ("search_trials", int, _same),
 }
 

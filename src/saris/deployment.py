@@ -37,6 +37,7 @@ __all__ = [
 
 
 BASELINE_ALTITUDE_M = 50.0  # swarm center height above the user-region center
+MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from allocating 1e300 cells
 
 
 @dataclass
@@ -97,6 +98,10 @@ class Grid2D:
             raise ValueError("grid steps must be > 0")
         if not (self.z_min > 0):
             raise ValueError("swarm altitude grid must start above ground")
+        nx = (self.x_max - self.x_min) / self.x_step + 1
+        nz = (self.z_max - self.z_min) / self.z_step + 1
+        if not nx * nz <= MAX_GRID_CELLS:
+            raise ValueError(f"grid has {nx * nz:.3g} cells, more than {MAX_GRID_CELLS}")
 
     @property
     def x_values(self) -> np.ndarray:

@@ -53,7 +53,6 @@ class PilotBook:
     symbol; column 0 is the direct-path indicator (all ones)."""
 
     states: np.ndarray
-    condition_number: float
 
     @property
     def n_pilots(self) -> int:
@@ -91,7 +90,7 @@ def pilot_patterns(n_groups: int) -> PilotBook:
     n = n_groups + 1
     # scipy.linalg.dft's own expression, bit for bit.
     states = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
-    return PilotBook(states=states, condition_number=float(np.linalg.cond(states)))
+    return PilotBook(states=states)
 
 
 def group_aggregate_channels(
@@ -116,7 +115,8 @@ def run_estimation(
     noise_w: float | None = None,
 ) -> EstimationResult:
     """Synthesize the N'+1 received pilot vectors and least-squares invert the
-    reflection-state book.
+    reflection-state book.  The book is the DFT matrix, so ``fft`` applies it,
+    ``ifft`` is its least-squares inverse, and no BLAS thread count moves a bit.
 
     Pilot noise: if pilot_snr_db is finite, the per-entry noise variance is
     set so the mean received pilot power sits at that SNR; if it is None the
@@ -125,14 +125,13 @@ def run_estimation(
     """
     if book.n_pilots != grouping.n_groups + 1:
         raise ValueError("pilot book size does not match the grouping")
-    if not np.isfinite(book.condition_number):
-        raise ValueError("pilot book is singular")
     if pilot_snr_db is None and noise_w is None:
         raise ValueError("pilot noise needs a pilot SNR or the data noise power noise_w")
 
     truth_groups, truth_direct = group_aggregate_channels(r, grouping)
     x_true = np.vstack([truth_direct, truth_groups])  # (N'+1, M)
-    y = book.states @ x_true
+    # np.fft is loaded lazily by numpy, so studies that never estimate skip it.
+    y = np.fft.fft(x_true, axis=0)
 
     if pilot_snr_db is None:
         sigma2 = float(noise_w)
@@ -146,7 +145,7 @@ def run_estimation(
             rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
         )
 
-    x_hat = np.linalg.solve(book.states, y)
+    x_hat = np.fft.ifft(y, axis=0)
     mse = float(np.mean(np.abs(x_hat - x_true) ** 2))
     return EstimationResult(
         direct_estimate=x_hat[0],
@@ -168,11 +167,12 @@ def rate_loss(
     from the estimates, evaluated on the true channel) against the true
     per-element solution.
 
-    Returns (rate_perfect, rate_estimated, delta).  Both sides converge
-    tighter than the data-path tolerance so the comparison reflects CSI
-    quality rather than optimizer truncation; the perfect-CSI side also
-    refines the estimated configuration by ascent and keeps the better of
-    the two, so delta >= 0 holds per trial.
+    Returns (rate_perfect, rate_estimated, delta).  Both sides run at a
+    tolerance of at most 1e-10 but keep the max_iter cap, and about a fifth
+    of those runs stop at the cap, so delta mixes CSI quality with optimizer
+    truncation (ROADMAP.md, "Optimizer runs that converge").  The
+    perfect-CSI side also refines the estimated configuration by ascent and
+    keeps the better of the two, so delta >= 0 holds per trial.
     """
     tol_run = min(tol, 1e-10)
     grouping = group_subsurfaces(r.L, r.N, len(est.group_estimates))

@@ -5,6 +5,10 @@ experiments (minutes of CPU); shared results are computed once per module.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +272,24 @@ class TestCriterion11Determinism:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         report(f"determinism {command}")
+
+    def test_estimate_independent_of_blas_threads(self, tmp_path):
+        # N' = 200 is where a 201 x 201 BLAS matmul or solve would split its
+        # work across threads and change the last bits of the CSV.
+        root = Path(__file__).resolve().parents[1]
+        pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "saris.cli", "estimate", "--config", str(root / "configs" / "estimation.cfg"),
+                 "--trials", "2", "--n-groups", "200", "--pilot-snr-db", "inf", "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        report("determinism estimate across BLAS thread counts")
 
 
 def _paper_realization(scenario, rng):

@@ -85,15 +85,20 @@ class TestApplySettings:
         assert cfg.est_pilot_snr_db is None
 
     def test_bad_value_mentions_key(self):
-        # "5000" dBm overflows the conversion to watts
-        for key, raw in [("scenario.M", "many"), ("scenario.noise_dbm", "5000"), ("est.pilot_snr_db", "loud")]:
+        # "5000" dBm overflows the conversion to watts; only the pilot SNR may be infinite
+        for key, raw in [
+            ("scenario.M", "many"), ("scenario.noise_dbm", "5000"), ("est.pilot_snr_db", "loud"),
+            ("scenario.noise_dbm", "inf"), ("tx.power_dbm", "-inf"), ("scenario.x_u_m", "nan"),
+            ("scenario.r_a_m", "inf"), ("env.fc_hz", "inf"), ("grid.x_max_m", "inf"), ("bf.tol", "nan"),
+        ]:
             with pytest.raises(config.ConfigError, match=key):
                 config.apply_settings({key: raw})
 
     def test_invalid_domain_value_is_config_error(self):
-        for key in ("scenario.L", "grid.search_trials"):
+        # a 1e-300 m step would ask for about 1e304 grid cells
+        for key, raw in [("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300")]:
             with pytest.raises(config.ConfigError, match=key):
-                config.apply_settings({key: "0"})
+                config.apply_settings({key: raw})
 
     @pytest.mark.parametrize(
         "settings",

@@ -89,7 +89,20 @@ class TestPilotBook:
         np.testing.assert_allclose(gram, (n_groups + 1) * np.eye(n_groups + 1), atol=1e-9)
 
     def test_condition_number_one(self):
-        assert pilot_patterns(12).condition_number == pytest.approx(1.0, rel=1e-9)
+        for n_groups in (1, 12, 40, 200):
+            assert np.linalg.cond(pilot_patterns(n_groups).states) == pytest.approx(1.0, rel=1e-9), n_groups
+
+    def test_fft_applies_and_inverts_the_book(self):
+        # run_estimation relies on fft == states @ x and ifft == solve(states, .)
+        rng = np.random.default_rng(0xFF7)
+        for n_groups in range(1, 202):
+            states = pilot_patterns(n_groups).states
+            x = rng.standard_normal((n_groups + 1, 3)) + 1j * rng.standard_normal((n_groups + 1, 3))
+            for fast, reference in [
+                (np.fft.fft(x, axis=0), states @ x),
+                (np.fft.ifft(x, axis=0), np.linalg.solve(states, x)),
+            ]:
+                assert np.linalg.norm(fast - reference) <= 1e-12 * np.linalg.norm(reference), n_groups
 
     def test_direct_indicator_column_is_ones(self):
         np.testing.assert_allclose(pilot_patterns(5).states[:, 0], 1.0, atol=1e-12)

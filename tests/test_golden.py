@@ -5,13 +5,13 @@ Criterion 11 only compares a run with a rerun of the same code; these files
 pin the output across code changes.  Together the runs cover both
 ``scenario.direct_link_mode`` values, ``bf.phase_bits = 2`` and the pilot
 SNRs ``inf``, ``data`` and a finite value.  A change that is meant to alter
-the numbers regenerates them with
+the numbers regenerates only the goldens it changes, by name (no names
+regenerates all of them), and says why in CHANGES.md:
 
-    PYTHONPATH=src python tests/test_golden.py
-
-and says why in CHANGES.md.
+    PYTHONPATH=src python tests/test_golden.py estimate
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,5 +49,9 @@ def test_matches_golden_csv(name, tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    for name in RUNS:
+    names = sys.argv[1:] or list(RUNS)
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; choose from {', '.join(sorted(RUNS))}")
+    for name in names:
         assert run_golden(name, DATA / "golden" / f"{name}.csv") == 0, name
