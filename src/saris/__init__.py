@@ -9,7 +9,6 @@ from .beamforming import (
     alternating_optimize,
     mrt,
     quantize_phases,
-    snr_and_rate,
 )
 from .channel import (
     ENV_PRESETS,
@@ -27,7 +26,6 @@ from .channel import (
 from .deployment import GainMap, Grid2D, Scenario, evaluate_position, grid_search
 from .estimation import (
     EstimationResult,
-    PilotBook,
     SubsurfaceGrouping,
     coefficient_count,
     group_subsurfaces,

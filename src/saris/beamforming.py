@@ -24,7 +24,6 @@ __all__ = [
     "alternating_optimize",
     "optimize_rows",
     "quantize_phases",
-    "snr_and_rate",
 ]
 
 
@@ -170,11 +169,3 @@ def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
     levels = 2**bits
     step = TWO_PI / levels
     return np.mod(np.round(np.asarray(phases, dtype=float) / step), levels) * step
-
-
-def snr_and_rate(s: BeamformingSolution, p_tx: float, noise: float) -> tuple[float, float]:
-    """Link SNR (linear) and Shannon rate (bit/s/Hz) of the beamformed channel."""
-    if not (p_tx > 0 and noise > 0):
-        raise ValueError("transmit power and noise power must be > 0")
-    snr = p_tx * abs(np.vdot(s.h_eff, s.w)) ** 2 / noise
-    return snr, math.log2(1.0 + snr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "terrestrial_path_loss_db",
     "ula_response",
     "draw_link",
-    "draw_terrestrial_link",
     "realize_channels",
     "cascade_rows",
     "effective_channel",
@@ -103,43 +102,56 @@ class LinkChannel:
 class ChannelRealization:
     """One Monte Carlo draw of every link in the reflected system.
 
-    bs_to_uav[l] is (N, M); uav_to_user[l] is (1, N); direct is (1, M) or
-    None when the direct path is blocked (the dead-zone default).  The same
-    matrices stacked, G (L, N, M) and h (L, N), and the cascaded contribution
-    rows of ``cascade_rows`` are built once, at construction.  ``stacks``
-    passes (G, h) when the caller already holds them, so the link matrices
-    need not be gathered again; realize_channels' link matrices are views
-    into them.
+    G (L, N, M) stacks the BS->UAV matrices and h (L, N) the UAV->user
+    vectors; direct is the (M,) BS->user vector, or None when the direct path
+    is blocked (the dead-zone default).  states, gains and distances hold one
+    entry per UAV link, the L BS->UAV links first.  The cascaded contribution
+    rows of ``cascade_rows`` are built once, at construction.
     """
 
-    bs_to_uav: list[LinkChannel]
-    uav_to_user: list[LinkChannel]
-    direct: LinkChannel | None
+    G: np.ndarray
+    h: np.ndarray
+    direct: np.ndarray | None
     eta_reflect: float
-    M: int
-    N: int
-    L: int
-    stacks: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
-    G: np.ndarray = field(init=False, repr=False, compare=False)
-    h: np.ndarray = field(init=False, repr=False, compare=False)
+    states: list[LinkState]
+    gains: list[float]
+    distances: list[float]
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     direct_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, stacks):
-        if len(self.bs_to_uav) != self.L or len(self.uav_to_user) != self.L:
-            raise ValueError("link list lengths must equal the UAV count L")
-        if stacks is None:
-            stacks = (
-                np.array([lc.matrix for lc in self.bs_to_uav], dtype=complex),
-                np.array([lc.matrix[0] for lc in self.uav_to_user], dtype=complex),
-            )
-        self.G, self.h = stacks
-        if self.G.shape != (self.L, self.N, self.M) or self.h.shape != (self.L, self.N):
-            raise ValueError(f"link matrices must stack to {(self.L, self.N, self.M)} and {(self.L, self.N)}")
+    def __post_init__(self):
+        L, N, M = self.G.shape
+        if self.h.shape != (L, N):
+            raise ValueError(f"link stacks must be (L, N, M) and (L, N), got {self.G.shape} and {self.h.shape}")
         rows = np.conj(self.h)[:, :, None] * self.G
         rows *= self.eta_reflect
-        self.rows = rows.reshape(self.L * self.N, self.M)
-        self.direct_row = np.conj(self.direct.matrix[0]) if self.direct is not None else None
+        self.rows = rows.reshape(L * N, M)
+        self.direct_row = np.conj(self.direct) if self.direct is not None else None
+
+    @property
+    def L(self) -> int:
+        return self.G.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.G.shape[1]
+
+    @property
+    def M(self) -> int:
+        return self.G.shape[2]
+
+    @property
+    def bs_to_uav(self) -> list[LinkChannel]:
+        """Per-link views into G, each (N, M), built on demand (the benchmark
+        tracer reads link states through them)."""
+        L = self.L
+        return list(map(LinkChannel, self.G, self.states[:L], self.gains[:L], self.distances[:L]))
+
+    @property
+    def uav_to_user(self) -> list[LinkChannel]:
+        """Per-link views into h, each (1, N)."""
+        L = self.L
+        return list(map(LinkChannel, self.h[:, None], self.states[L:], self.gains[L:], self.distances[L:]))
 
 
 def los_probability(theta_deg: float, env: EnvParams) -> float:
@@ -208,16 +220,10 @@ def _gain_from_pl(pl_db: float) -> float:
     return min(1.0, db_to_linear(-pl_db))
 
 
-def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    # One RNG call for both quadratures; unit variance per complex entry.
-    parts = rng.standard_normal(shape + (2,))
-    return parts.view(np.complex128)[..., 0] / math.sqrt(2.0)
-
-
 # Phase step per unit sin(angle) of a half-wavelength ULA (ula_response's default).
 _HALF_WAVE_STEP = 2.0 * math.pi * 0.5
-# numpy divides a complex array by the real sqrt(2) as a product with
-# 1/sqrt(2), so scaling the raw normals by it gives _complex_gaussian's bits.
+# Unit-variance complex Gaussian entries are raw normal pairs scaled by this
+# (the same bits as dividing the complex entries by sqrt(2)).
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -287,11 +293,6 @@ def _draw_links(
     return np.sqrt(gains)[:, None, None] * matrices, states, gains, dists
 
 
-def _link_channels(matrices, states, gains, dists) -> list[LinkChannel]:
-    # Positional (matrix, state, large_scale_gain, distance); the matrices stay views.
-    return list(map(LinkChannel, matrices, states, gains, dists))
-
-
 def draw_link(
     tx: Point3,
     rx: Point3,
@@ -311,22 +312,8 @@ def draw_link(
     link elevation at the receiver.  NLoS entries are i.i.d. complex
     Gaussian.  Both are scaled by the square root of the large-scale gain.
     """
-    return _link_channels(*_draw_links([(tx, rx)], rx_n, tx_n, env, rng, force_state))[0]
-
-
-def draw_terrestrial_link(
-    tx: Point3,
-    rx: Point3,
-    tx_n: int,
-    env: EnvParams,
-    rng: np.random.Generator,
-    exponent: float = 3.5,
-) -> LinkChannel:
-    """Ground-to-ground NLoS link (direct BS-user path when not blocked)."""
-    d = distance(tx, rx)
-    gain = _gain_from_pl(terrestrial_path_loss_db(d, env, exponent))
-    matrix = math.sqrt(gain) * _complex_gaussian(rng, (1, tx_n))
-    return LinkChannel(matrix=matrix, state=LinkState.NLOS, large_scale_gain=gain, distance=d)
+    matrices, states, gains, dists = _draw_links([(tx, rx)], rx_n, tx_n, env, rng, force_state)
+    return LinkChannel(matrices[0], states[0], gains[0], dists[0])
 
 
 def realize_channels(
@@ -356,20 +343,17 @@ def realize_channels(
     if direct_link_mode not in ("blocked", "terrestrial_nlos"):
         raise ValueError(f"unknown direct_link_mode: {direct_link_mode!r}")
 
-    incident = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
-    reflected = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
+    G, states, gains, dists = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
+    h, h_states, h_gains, h_dists = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
     direct = None
     if direct_link_mode == "terrestrial_nlos":
-        direct = draw_terrestrial_link(bs, user, M, env, rng)
+        # Ground-to-ground NLoS path: log-distance loss, i.i.d. complex Gaussian.
+        gain = _gain_from_pl(terrestrial_path_loss_db(distance(bs, user), env))
+        normals = rng.standard_normal((M, 2))
+        normals *= _INV_SQRT2
+        direct = math.sqrt(gain) * normals.view(np.complex128)[:, 0]
     return ChannelRealization(
-        bs_to_uav=_link_channels(*incident),
-        uav_to_user=_link_channels(*reflected),
-        direct=direct,
-        eta_reflect=eta_reflect,
-        M=M,
-        N=N,
-        L=len(uavs),
-        stacks=(incident[0], reflected[0][:, 0]),
+        G, h[:, 0], direct, eta_reflect, states + h_states, gains + h_gains, dists + h_dists
     )
 
 

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         elif ns.command == "rate-vs-radius":
             table = experiments.run_rate_vs_radius(cfg, ns.ra_values, ns.ru_values)
         else:
-            n_groups = ns.n_groups or [cfg.est_n_groups]
+            n_groups = ns.n_groups if ns.n_groups is not None else [cfg.est_n_groups]
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
             table = experiments.run_estimation_sweep(cfg, n_groups, snrs)
         experiments.write_csv(out, table.columns, table.rows, cfg.scenario.seed, config.digest(cfg))

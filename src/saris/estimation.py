@@ -19,7 +19,6 @@ from .channel import ChannelRealization, cascade_rows, effective_channel
 
 __all__ = [
     "SubsurfaceGrouping",
-    "PilotBook",
     "EstimationResult",
     "coefficient_count",
     "group_subsurfaces",
@@ -39,24 +38,9 @@ class SubsurfaceGrouping:
     L: int
     N: int
 
-    def group_of(self, uav_index: int, element_index: int) -> int:
-        return (uav_index * self.N + element_index) // self.group_size
-
     def expand(self, group_values: np.ndarray) -> np.ndarray:
         """Broadcast one value per group to the full (L, N) element array."""
         return np.repeat(np.asarray(group_values), self.group_size).reshape(self.L, self.N)
-
-
-@dataclass(frozen=True)
-class PilotBook:
-    """(N'+1) x (N'+1) unit-modulus reflection states, one row per pilot
-    symbol; column 0 is the direct-path indicator (all ones)."""
-
-    states: np.ndarray
-
-    @property
-    def n_pilots(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass
@@ -82,15 +66,16 @@ def group_subsurfaces(L: int, N: int, n_groups: int) -> SubsurfaceGrouping:
     return SubsurfaceGrouping(n_groups=n_groups, group_size=total // n_groups, L=L, N=N)
 
 
-def pilot_patterns(n_groups: int) -> PilotBook:
-    """(N'+1)-point DFT reflection-state book: unit modulus, orthogonal
-    columns, condition number 1."""
+def pilot_patterns(n_groups: int) -> np.ndarray:
+    """(N'+1) x (N'+1) reflection-state book, one row per pilot symbol: the
+    DFT matrix, so unit modulus, orthogonal columns, condition number 1, and
+    column 0 (the direct-path indicator) all ones.  ``run_estimation``
+    applies it with the FFT and never builds it."""
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
     n = n_groups + 1
     # scipy.linalg.dft's own expression, bit for bit.
-    states = np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
-    return PilotBook(states=states)
+    return np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
 
 
 def group_aggregate_channels(
@@ -109,22 +94,20 @@ def group_aggregate_channels(
 def run_estimation(
     r: ChannelRealization,
     grouping: SubsurfaceGrouping,
-    book: PilotBook,
     pilot_snr_db: float | None,
     rng: np.random.Generator,
     noise_w: float | None = None,
 ) -> EstimationResult:
     """Synthesize the N'+1 received pilot vectors and least-squares invert the
-    reflection-state book.  The book is the DFT matrix, so ``fft`` applies it,
-    ``ifft`` is its least-squares inverse, and no BLAS thread count moves a bit.
+    reflection-state book of ``pilot_patterns``.  The book is the DFT matrix,
+    so ``fft`` applies it, ``ifft`` is its least-squares inverse, and no BLAS
+    thread count moves a bit.
 
     Pilot noise: if pilot_snr_db is finite, the per-entry noise variance is
     set so the mean received pilot power sits at that SNR; if it is None the
     absolute data noise power noise_w is used, and must be given; math.inf
     means noiseless.
     """
-    if book.n_pilots != grouping.n_groups + 1:
-        raise ValueError("pilot book size does not match the grouping")
     if pilot_snr_db is None and noise_w is None:
         raise ValueError("pilot noise needs a pilot SNR or the data noise power noise_w")
 
@@ -176,8 +159,7 @@ def rate_loss(
     """
     tol_run = min(tol, 1e-10)
     grouping = group_subsurfaces(r.L, r.N, len(est.group_estimates))
-    use_direct = r.direct is not None
-    d_hat = est.direct_estimate if use_direct else None
+    d_hat = est.direct_estimate if r.direct_row is not None else None
 
     w_hat, theta_groups, _, _, _ = beamforming.optimize_rows(
         est.group_estimates, d_hat, tol_run, max_iter

@@ -180,7 +180,6 @@ def run_estimation_sweep(
     rows = []
     for grouping in groupings:
         n_groups = grouping.n_groups
-        book = estimation.pilot_patterns(n_groups)
         for snr_db in pilot_snr_values:
             snr_key = "data" if snr_db is None else float(snr_db)
             rng = substream(scenario.seed, "estimate", n_groups, str(snr_key))
@@ -189,9 +188,7 @@ def run_estimation_sweep(
             rates_e = np.empty(scenario.trials)
             for i in range(scenario.trials):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                est = estimation.run_estimation(
-                    r, grouping, book, snr_db, rng, noise_w=scenario.noise_w
-                )
+                est = estimation.run_estimation(r, grouping, snr_db, rng, noise_w=scenario.noise_w)
                 rate_p, rate_e, _ = estimation.rate_loss(
                     r, est, scenario.p_tx_w, scenario.noise_w, bf.tol, bf.max_iter
                 )

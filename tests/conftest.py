@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from saris.channel import ChannelRealization, LinkChannel, LinkState
+from saris.channel import ChannelRealization, LinkState
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
@@ -10,29 +10,21 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-def link(matrix, state=LinkState.LOS, gain=1.0, dist=100.0) -> LinkChannel:
-    return LinkChannel(
-        matrix=np.asarray(matrix, dtype=complex),
-        state=state,
-        large_scale_gain=gain,
-        distance=dist,
-    )
-
-
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:
     """Realization from explicit per-UAV matrices: bs_mats[l] is (N, M),
-    user_mats[l] is (1, N)."""
-    bs_links = [link(m) for m in bs_mats]
-    user_links = [link(m) for m in user_mats]
-    n, m = bs_links[0].matrix.shape
+    user_mats[l] is (1, N), direct is (1, M) or None.  Every UAV link is
+    recorded as LoS at unit gain and 100 m."""
+    G = np.array(bs_mats, dtype=complex)
+    h = np.array(user_mats, dtype=complex)[:, 0]
+    links = 2 * len(G)
     return ChannelRealization(
-        bs_to_uav=bs_links,
-        uav_to_user=user_links,
-        direct=link(direct) if direct is not None else None,
+        G=G,
+        h=h,
+        direct=np.asarray(direct, dtype=complex)[0] if direct is not None else None,
         eta_reflect=eta,
-        M=m,
-        N=n,
-        L=len(bs_links),
+        states=[LinkState.LOS] * links,
+        gains=[1.0] * links,
+        distances=[100.0] * links,
     )
 
 

@@ -23,7 +23,6 @@ from saris.estimation import (
     coefficient_count,
     group_aggregate_channels,
     group_subsurfaces,
-    pilot_patterns,
     run_estimation,
 )
 from saris.experiments import run_rate_vs_radius, run_rate_vs_uavs
@@ -181,7 +180,7 @@ class TestCriterion08Estimation:
             for trial in range(3):
                 r = _paper_realization(scenario, rng)
                 grouping = group_subsurfaces(scenario.L, scenario.N, n_groups)
-                est = run_estimation(r, grouping, pilot_patterns(n_groups), math.inf, rng)
+                est = run_estimation(r, grouping, math.inf, rng)
                 truth, _ = group_aggregate_channels(r, grouping)
                 rel = np.linalg.norm(est.group_estimates - truth) / np.linalg.norm(truth)
                 assert rel < 1e-9, f"N'={n_groups}: relative error {rel:.2e}"
@@ -192,14 +191,13 @@ class TestCriterion08Estimation:
         rng = substream(0xE57, "slope")
         scenario = Scenario()
         grouping = group_subsurfaces(scenario.L, scenario.N, 10)
-        book = pilot_patterns(10)
         snrs = np.array([0.0, 10.0, 20.0, 30.0])
         mses = []
         for snr in snrs:
             vals = []
             for _ in range(120):
                 r = _paper_realization(scenario, rng)
-                vals.append(run_estimation(r, grouping, book, float(snr), rng).mse)
+                vals.append(run_estimation(r, grouping, float(snr), rng).mse)
             mses.append(np.mean(vals))
         slope = np.polyfit(snrs / 10.0, np.log10(mses), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1), f"slope {slope:.3f}"

@@ -219,6 +219,9 @@ class TestRealizeChannels:
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "a"),
         )
+        assert (r.L, r.N, r.M) == (10, 20, 16)
+        assert r.G.shape == (10, 20, 16) and r.h.shape == (10, 20)
+        assert len(r.states) == len(r.gains) == len(r.distances) == 20
         assert len(r.bs_to_uav) == 10 and len(r.uav_to_user) == 10
         assert all(lc.matrix.shape == (20, 16) for lc in r.bs_to_uav)
         assert all(lc.matrix.shape == (1, 20) for lc in r.uav_to_user)
@@ -228,35 +231,47 @@ class TestRealizeChannels:
             self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "b"),
         )
-        assert r.direct is None
+        assert r.direct is None and r.direct_row is None
 
     def test_direct_terrestrial_mode(self):
+        kw = dict(M=4, N=4, eta_reflect=0.9, env=DENSE)
         r = realize_channels(
-            self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE,
-            rng=substream(2, "c"), direct_link_mode="terrestrial_nlos",
+            self.BS, self.UAVS, self.USER, rng=substream(2, "c"),
+            direct_link_mode="terrestrial_nlos", **kw,
         )
-        assert r.direct is not None
-        assert r.direct.matrix.shape == (1, 4)
-        assert r.direct.state is LinkState.NLOS
+        # the direct path is drawn last: a blocked draw from the same stream
+        # leaves the probe at its normals
+        probe = substream(2, "c")
+        blocked = realize_channels(self.BS, self.UAVS, self.USER, rng=probe, **kw)
+        assert r.G.tobytes() == blocked.G.tobytes() and r.h.tobytes() == blocked.h.tobytes()
+        gain = min(1.0, db_to_linear(-terrestrial_path_loss_db(distance(self.BS, self.USER), DENSE)))
+        parts = probe.standard_normal((1, 4, 2))
+        expected = math.sqrt(gain) * (parts.view(np.complex128)[..., 0] / math.sqrt(2.0))
+        assert r.direct.shape == (4,)
+        assert r.direct.tobytes() == expected[0].tobytes()
 
     def test_same_seed_bit_identical(self):
         kw = dict(M=4, N=4, eta_reflect=0.9, env=DENSE)
         r1 = realize_channels(self.BS, self.UAVS, self.USER, rng=substream(5, "z"), **kw)
         r2 = realize_channels(self.BS, self.UAVS, self.USER, rng=substream(5, "z"), **kw)
-        for a, b in zip(r1.bs_to_uav + r1.uav_to_user, r2.bs_to_uav + r2.uav_to_user):
-            assert (a.matrix == b.matrix).all()
-            assert a.state == b.state
+        assert r1.G.tobytes() == r2.G.tobytes() and r1.h.tobytes() == r2.h.tobytes()
+        assert r1.states == r2.states
 
     def test_links_are_views_into_the_stacks(self):
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "v"),
         )
-        assert r.G.shape == (10, 20, 16) and r.h.shape == (10, 20)
         for l in range(10):
             assert np.shares_memory(r.bs_to_uav[l].matrix, r.G)
+            assert np.shares_memory(r.uav_to_user[l].matrix, r.h)
             assert (r.bs_to_uav[l].matrix == r.G[l]).all()
             assert (r.uav_to_user[l].matrix[0] == r.h[l]).all()
+            # per-link scalars: the BS->UAV links first, then the UAV->user links
+            for lc, k in ((r.bs_to_uav[l], l), (r.uav_to_user[l], 10 + l)):
+                assert (lc.state, lc.large_scale_gain, lc.distance) == (r.states[k], r.gains[k], r.distances[k])
+        assert r.distances[0] == distance(self.BS, self.UAVS[0])
+        assert r.distances[10] == distance(self.UAVS[0], self.USER)
 
     def test_rows_match_per_uav_assembly(self):
         r = realize_channels(
@@ -270,11 +285,11 @@ class TestRealizeChannels:
             blocks.append(block)
         rows, direct_row = cascade_rows(r)
         assert rows.tobytes() == np.vstack(blocks).tobytes()
-        assert direct_row.tobytes() == np.conj(r.direct.matrix[0]).tobytes()
-        # rebuilding from the link lists gives the same stacks and rows
+        assert direct_row.tobytes() == np.conj(r.direct).tobytes()
+        # rebuilding from the per-link views gives the same stacks and rows
         rebuilt = make_realization(
             [lc.matrix for lc in r.bs_to_uav], [lc.matrix for lc in r.uav_to_user],
-            eta=0.9, direct=r.direct.matrix,
+            eta=0.9, direct=r.direct[None],
         )
         assert rebuilt.rows.tobytes() == rows.tobytes()
         assert rebuilt.direct_row.tobytes() == direct_row.tobytes()
@@ -291,8 +306,8 @@ class TestRealizeChannels:
         r = make_realization([np.ones((3, 2))], [np.ones((1, 3))])  # (N, M) = (3, 2)
         with pytest.raises(ValueError, match="stack"):
             ChannelRealization(
-                bs_to_uav=r.bs_to_uav, uav_to_user=r.uav_to_user, direct=None,
-                eta_reflect=0.9, M=3, N=2, L=1,
+                G=r.G, h=np.ones((1, 2), dtype=complex), direct=None, eta_reflect=0.9,
+                states=r.states, gains=r.gains, distances=r.distances,
             )
 
     def test_unknown_direct_mode(self):

@@ -248,6 +248,7 @@ class TestCli:
         (("rate-vs-radius", "--ra-values", "5,y"), "usage"),
         (("estimate", "--pilot-snr-db", "abc"), "usage"),
         (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "config error"),
+        (("estimate", "--n-groups="), "config error"),
     ]
 
     @pytest.mark.parametrize("args, message", BAD_SWEEPS, ids=[f"args{i}" for i in range(len(BAD_SWEEPS))])
