@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +39,18 @@ class BfOptions:
             raise ValueError("tolerance must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.phase_bits < 0:
-            raise ValueError("phase_bits must be >= 0")
+        # A codebook step 2*pi/2^bits below 2^-50 is finer than the spacing
+        # of doubles near 2*pi, so more bits would quantize nothing.
+        if not 0 <= self.phase_bits <= 52:
+            raise ValueError(f"phase_bits must be in 0..52, got {self.phase_bits}")
 
 
-@dataclass
-class BeamformingSolution:
-    """Converged beamformer: unit-norm w, per-element phases (L, N), the
-    effective channel in column convention (so |h_eff^H w|^2 is the received
-    power factor), and the per-half-step objective trace."""
+class BeamformingSolution(NamedTuple):
+    """Converged beamformer: unit-norm w, one phase per contribution row
+    (for a realization, the L*N elements in cascade-row order, UAV-major),
+    the effective channel in column convention (so |h_eff^H w|^2 is the
+    received power factor), the per-half-step objective trace, and the
+    number of iterations run."""
 
     w: np.ndarray
     phases: np.ndarray
@@ -90,40 +94,34 @@ def optimize_rows(
     tol: float = 1e-6,
     max_iter: int = 100,
     init_w: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], int]:
+) -> BeamformingSolution:
     """Alternating ascent on a generic contribution-row decomposition.
 
     rows is (K, M): the effective row channel for phases theta is
-    sum_k exp(1j*theta_k) rows[k] (+ direct_row).  Returns
-    (w, theta, h_eff_column, trace, iterations).  The default initialization
-    is all-zero phases followed by MRT; init_w skips that and starts the first
-    alignment from the given precoder (used for warm restarts).
+    sum_k exp(1j*theta_k) rows[k] (+ direct_row), and the solution's phases
+    are those K thetas.  The default initialization is all-zero phases
+    followed by MRT; init_w skips that and starts the first alignment from
+    the given precoder (used for warm restarts).
     """
     if not (tol > 0):
         raise ValueError("tolerance must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     rows = np.asarray(rows, dtype=complex)
-    K, _ = rows.shape
 
+    e = rows.sum(axis=0)
+    if direct_row is not None:
+        e = e + direct_row
     if init_w is None:
-        e = rows.sum(axis=0)
-        if direct_row is not None:
-            e = e + direct_row
         if not np.vdot(e, e).real > 0:
             raise ValueError("effective channel is identically zero")
         w = mrt(np.conj(e))
     else:
         w = np.asarray(init_w, dtype=complex)
-        e = rows.sum(axis=0)
-        if direct_row is not None:
-            e = e + direct_row
     obj = float(abs(e @ w) ** 2)
     trace = [obj]
 
-    phasor = np.ones(K, dtype=complex)
-    iterations = 0
-    for it in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         t = rows @ w
         if direct_row is not None:
             d_scal = complex(direct_row @ w)
@@ -138,13 +136,11 @@ def optimize_rows(
         w = mrt(np.conj(e))
         new_obj = float(abs(e @ w) ** 2)
         trace.append(new_obj)  # after the MRT half-step
-        iterations = it
         if new_obj - obj <= tol * obj:
-            obj = new_obj
             break
         obj = new_obj
     theta = np.mod(np.angle(phasor), TWO_PI)
-    return w, theta, np.conj(e), trace, iterations
+    return BeamformingSolution(w, theta, np.conj(e), trace, iterations)
 
 
 def alternating_optimize(
@@ -152,14 +148,7 @@ def alternating_optimize(
 ) -> BeamformingSolution:
     """Joint active/passive beamforming by alternating the two closed forms."""
     rows, direct_row = cascade_rows(r)
-    w, theta, h_eff, trace, iterations = optimize_rows(rows, direct_row, tol, max_iter)
-    return BeamformingSolution(
-        w=w,
-        phases=theta.reshape(r.L, r.N),
-        h_eff=h_eff,
-        objective_trace=trace,
-        iterations=iterations,
-    )
+    return optimize_rows(rows, direct_row, tol, max_iter)
 
 
 def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:

@@ -178,18 +178,6 @@ def terrestrial_path_loss_db(d: float, env: EnvParams, exponent: float = 3.5) ->
     return ref + 10.0 * exponent * math.log10(d)
 
 
-_ARANGE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _arange(count: int) -> np.ndarray:
-    k = _ARANGE_CACHE.get(count)
-    if k is None:
-        k = np.arange(count)
-        k.setflags(write=False)
-        _ARANGE_CACHE[count] = k
-    return k
-
-
 def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
     """np.exp(1j * step * np.arange(count)) for each phase step, one row each.
 
@@ -198,7 +186,7 @@ def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
     a fraction of the cost.  (1j * step has imaginary part +0.0 for a step of
     -0.0; callers that need that sign pass +0.0.)
     """
-    x = steps[:, None] * _arange(count)
+    x = steps[:, None] * np.arange(count)
     out = np.empty(x.shape, dtype=complex)
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)
@@ -372,15 +360,15 @@ def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:
 def effective_channel(r: ChannelRealization, phases: np.ndarray) -> np.ndarray:
     """Cascaded effective channel (row form, length M) for per-element phases.
 
-    phases must have shape (L, N).  The returned vector e satisfies
-    "received scalar = e @ w"; it is linear in each per-element phasor and
-    additive over UAVs.
+    phases must have shape (L*N,), in cascade-row order.  The returned
+    vector e satisfies "received scalar = e @ w"; it is linear in each
+    per-element phasor and additive over UAVs.
     """
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (r.L, r.N):
-        raise ValueError(f"phases must have shape {(r.L, r.N)}, got {phases.shape}")
+    if phases.shape != (r.L * r.N,):
+        raise ValueError(f"phases must have shape {(r.L * r.N,)}, got {phases.shape}")
     rows, direct_row = cascade_rows(r)
-    e = np.exp(1j * phases.ravel()) @ rows
+    e = np.exp(1j * phases) @ rows
     if direct_row is not None:
         e = e + direct_row
     return e

@@ -58,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-vs-uavs", help="mean achievable rate versus swarm size")
     common(p)
     p.add_argument("--l-values", type=_comma_list(int), default=[1, 5, 10, 20])
-    p.add_argument(
-        "--optimize", action=argparse.BooleanOptionalAction, default=True,
-        help="grid-optimize the swarm center per point (default on)",
-    )
 
     p = sub.add_parser("rate-vs-radius", help="mean achievable rate versus cluster radii")
     common(p)
@@ -103,7 +99,7 @@ def main(argv=None) -> int:
         if ns.command == "deploy-map":
             table = experiments.run_deploy_map(cfg)
         elif ns.command == "rate-vs-uavs":
-            table = experiments.run_rate_vs_uavs(cfg, ns.l_values, ns.optimize)
+            table = experiments.run_rate_vs_uavs(cfg, ns.l_values)
         elif ns.command == "rate-vs-radius":
             table = experiments.run_rate_vs_radius(cfg, ns.ra_values, ns.ru_values)
         else:

@@ -39,8 +39,9 @@ class SubsurfaceGrouping:
     N: int
 
     def expand(self, group_values: np.ndarray) -> np.ndarray:
-        """Broadcast one value per group to the full (L, N) element array."""
-        return np.repeat(np.asarray(group_values), self.group_size).reshape(self.L, self.N)
+        """Broadcast one value per group to the L*N elements, in cascade-row
+        order."""
+        return np.repeat(group_values, self.group_size)
 
 
 @dataclass
@@ -161,23 +162,17 @@ def rate_loss(
     grouping = group_subsurfaces(r.L, r.N, len(est.group_estimates))
     d_hat = est.direct_estimate if r.direct_row is not None else None
 
-    w_hat, theta_groups, _, _, _ = beamforming.optimize_rows(
-        est.group_estimates, d_hat, tol_run, max_iter
-    )
-    theta_full = grouping.expand(theta_groups)
-    e_true = effective_channel(r, theta_full)
-    obj_est = abs(e_true @ w_hat) ** 2
+    est_sol = beamforming.optimize_rows(est.group_estimates, d_hat, tol_run, max_iter)
+    e_true = effective_channel(r, grouping.expand(est_sol.phases))
+    obj_est = abs(e_true @ est_sol.w) ** 2
 
-    sol = beamforming.alternating_optimize(r, tol_run, max_iter)
-    obj_perfect = sol.objective
+    obj_perfect = beamforming.alternating_optimize(r, tol_run, max_iter).objective
     if obj_perfect < obj_est:
         # Local-optimum safeguard: continue the ascent from the estimated
         # configuration; the refined objective dominates obj_est.
         rows, direct_row = cascade_rows(r)
-        _, _, _, trace, _ = beamforming.optimize_rows(
-            rows, direct_row, tol_run, max_iter, init_w=w_hat
-        )
-        obj_perfect = max(obj_perfect, trace[-1])
+        refined = beamforming.optimize_rows(rows, direct_row, tol_run, max_iter, init_w=est_sol.w)
+        obj_perfect = max(obj_perfect, refined.objective)
 
     rate_perfect = math.log2(1.0 + p_tx * obj_perfect / noise)
     rate_estimated = math.log2(1.0 + p_tx * obj_est / noise)

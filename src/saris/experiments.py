@@ -107,9 +107,7 @@ def run_deploy_map(cfg: SimConfig) -> ResultTable:
     return ResultTable(["x_m", "z_m", "mean_gain_db"], rows)
 
 
-def run_rate_vs_uavs(
-    cfg: SimConfig, l_values: list[int], optimize_deployment: bool = True
-) -> ResultTable:
+def run_rate_vs_uavs(cfg: SimConfig, l_values: list[int]) -> ResultTable:
     """Mean achievable rate versus the swarm size L.
 
     The optimized center is found per L by a rate-objective grid search at
@@ -121,14 +119,11 @@ def run_rate_vs_uavs(
     for sc in scenarios:
         base_rng = substream(sc.seed, "rate-vs-uavs", "baseline", sc.L)
         _, base_rates = collect_metrics(sc, sc.baseline_center, sc.trials, base_rng, cfg.bf)
-        base_mean, base_half = _mean_ci(base_rates)
-        if optimize_deployment:
-            center = _optimized_center(sc, cfg, ("rate-vs-uavs", "search", sc.L))
-            opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", sc.L)
-            _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, cfg.bf)
-            mean, half = _mean_ci(opt_rates)
-        else:
-            mean, half = base_mean, base_half
+        base_mean, _ = _mean_ci(base_rates)
+        center = _optimized_center(sc, cfg, ("rate-vs-uavs", "search", sc.L))
+        opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", sc.L)
+        _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, cfg.bf)
+        mean, half = _mean_ci(opt_rates)
         rows.append((sc.L, mean, base_mean, half))
     return ResultTable(["L", "mean_rate_bps_hz", "baseline_rate_bps_hz", "ci95"], rows)
 

@@ -323,7 +323,7 @@ class TestEffectiveChannel:
         h = 0.5 * np.exp(0.7j)
         g = 0.8 * np.exp(-0.2j)
         r = make_realization([np.array([[g]])], [np.array([[h]])], eta=0.9)
-        e = effective_channel(r, np.zeros((1, 1)))
+        e = effective_channel(r, np.zeros(1))
         assert e[0] == pytest.approx(0.9 * np.conj(h) * g, rel=1e-12)
 
     def test_zero_efficiency_zeroes_reflection(self):
@@ -333,23 +333,23 @@ class TestEffectiveChannel:
         r = make_realization(
             [rng.standard_normal((2, 3)) + 0j], [rng.standard_normal((1, 2)) + 0j], eta=0.0
         )
-        e = effective_channel(r, np.zeros((1, 2)))
+        e = effective_channel(r, np.zeros(2))
         np.testing.assert_array_equal(e, np.zeros(3, dtype=complex))
 
     def test_two_aligned_unit_links(self):
         r = make_realization(
             [np.ones((1, 1)), np.ones((1, 1))], [np.ones((1, 1)), np.ones((1, 1))], eta=0.9
         )
-        e = effective_channel(r, np.zeros((2, 1)))
+        e = effective_channel(r, np.zeros(2))
         assert abs(e[0]) == pytest.approx(2 * 0.9, rel=1e-12)
 
     def test_additive_over_uavs(self, rng):
         mats_g = [rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)) for _ in range(5)]
         mats_h = [rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4)) for _ in range(5)]
         phases = rng.uniform(0, 2 * math.pi, (5, 4))
-        joint = effective_channel(make_realization(mats_g, mats_h), phases)
+        joint = effective_channel(make_realization(mats_g, mats_h), phases.ravel())
         parts = sum(
-            effective_channel(make_realization([g], [h]), phases[l : l + 1])
+            effective_channel(make_realization([g], [h]), phases[l])
             for l, (g, h) in enumerate(zip(mats_g, mats_h))
         )
         np.testing.assert_allclose(joint, parts, rtol=1e-12)
@@ -357,15 +357,17 @@ class TestEffectiveChannel:
     def test_linear_in_eta(self, rng):
         g = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))]
         h = [rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))]
-        phases = rng.uniform(0, 2 * math.pi, (1, 3))
+        phases = rng.uniform(0, 2 * math.pi, 3)
         e1 = effective_channel(make_realization(g, h, eta=0.3), phases)
         e2 = effective_channel(make_realization(g, h, eta=0.9), phases)
         np.testing.assert_allclose(3.0 * e1, e2, rtol=1e-12)
 
     def test_dimension_mismatch(self, rng):
+        # one phase per cascade row: (L*N,), not the (L, N) element grid
         r = make_realization([np.ones((2, 2))], [np.ones((1, 2))])
-        with pytest.raises(ValueError):
-            effective_channel(r, np.zeros((2, 2)))
+        for shape in [(2, 2), (1, 2), (3,)]:
+            with pytest.raises(ValueError):
+                effective_channel(r, np.zeros(shape))
 
     def test_nlos_fourth_moment(self):
         # |h|^2 / gain is exponential(1): second moment of the power is 2

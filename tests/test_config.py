@@ -95,8 +95,12 @@ class TestApplySettings:
                 config.apply_settings({key: raw})
 
     def test_invalid_domain_value_is_config_error(self):
-        # a 1e-300 m step would ask for about 1e304 grid cells
-        for key, raw in [("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300")]:
+        # a 1e-300 m step would ask for about 1e304 grid cells; a 53-bit
+        # codebook is finer than doubles near 2*pi, and 2**1100 overflows one
+        for key, raw in [
+            ("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
+            ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
+        ]:
             with pytest.raises(config.ConfigError, match=key):
                 config.apply_settings({key: raw})
 

@@ -34,27 +34,28 @@ class TestGrouping:
     def test_paper_grouping(self):
         g = group_subsurfaces(10, 20, 40)
         assert g.group_size == 5
-        assert g.expand(np.arange(40))[0, 7] == 1
+        assert g.expand(np.arange(40))[7] == 1
 
     def test_singleton_groups(self):
         g = group_subsurfaces(2, 3, 6)
         assert g.group_size == 1
-        assert g.expand(np.arange(6))[1, 2] == 5
+        assert g.expand(np.arange(6))[5] == 5
 
     def test_one_group(self):
         g = group_subsurfaces(2, 3, 1)
         assert g.group_size == 6
-        assert g.expand(np.arange(1))[1, 2] == 0
+        assert g.expand(np.arange(1))[5] == 0
 
     def test_every_element_assigned_once(self):
         g = group_subsurfaces(4, 6, 8)
-        counts = np.bincount(g.expand(np.arange(8)).ravel(), minlength=8)
+        counts = np.bincount(g.expand(np.arange(8)), minlength=8)
         assert (counts == g.group_size).all()
 
     def test_contiguous_within_uav(self):
         g = group_subsurfaces(2, 8, 4)
-        for groups in g.expand(np.arange(4)):
-            assert list(groups) == sorted(groups)
+        groups = list(g.expand(np.arange(4)))
+        assert groups == sorted(groups)
+        assert groups[:8] == [0, 0, 0, 0, 1, 1, 1, 1]  # UAV 0's elements
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ValueError):
@@ -63,9 +64,8 @@ class TestGrouping:
     def test_expand_broadcasts_group_values(self):
         g = group_subsurfaces(2, 4, 4)
         full = g.expand(np.array([0.0, 1.0, 2.0, 3.0]))
-        assert full.shape == (2, 4)
-        assert (full[0] == [0.0, 0.0, 1.0, 1.0]).all()
-        assert (full[1] == [2.0, 2.0, 3.0, 3.0]).all()
+        assert full.shape == (8,)
+        assert (full == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]).all()
 
 
 class TestPilotBook:

@@ -51,10 +51,6 @@ class TestRateTables:
         assert table.rows[1][1] > table.rows[0][1]
         assert all(row[3] >= 0 for row in table.rows)
 
-    def test_rate_vs_uavs_without_optimization(self):
-        table = run_rate_vs_uavs(tiny_config(trials=10), [2], optimize_deployment=False)
-        assert table.rows[0][1] == table.rows[0][2]
-
     def test_rate_vs_uavs_deterministic(self):
         cfg = tiny_config(trials=10)
         a = run_rate_vs_uavs(cfg, [1])
@@ -82,8 +78,8 @@ class TestRateTables:
     def test_ci_halfwidth_shrinks_like_inverse_sqrt_trials(self):
         # nearby user region keeps both links in a balanced LoS regime, so
         # the 250-sample std estimate is stable enough for the ratio check
-        t250 = run_rate_vs_uavs(tiny_config(trials=250, x_u_m=50.0), [2], optimize_deployment=False)
-        t1000 = run_rate_vs_uavs(tiny_config(trials=1000, x_u_m=50.0), [2], optimize_deployment=False)
+        t250 = run_rate_vs_uavs(tiny_config(trials=250, x_u_m=50.0), [2])
+        t1000 = run_rate_vs_uavs(tiny_config(trials=1000, x_u_m=50.0), [2])
         ratio = t250.rows[0][3] / t1000.rows[0][3]
         assert ratio == pytest.approx(2.0, rel=0.2)
 
