@@ -16,12 +16,10 @@ from .channel import (
     EnvParams,
     LinkChannel,
     LinkState,
-    draw_link,
     effective_channel,
     los_probability,
     path_loss_db,
     realize_channels,
-    ula_response,
 )
 from .deployment import GainMap, Grid2D, Scenario, evaluate_position, grid_search
 from .estimation import (

@@ -28,8 +28,6 @@ __all__ = [
     "los_probability",
     "path_loss_db",
     "terrestrial_path_loss_db",
-    "ula_response",
-    "draw_link",
     "realize_channels",
     "cascade_rows",
     "effective_channel",
@@ -86,7 +84,8 @@ class LinkState(enum.Enum):
 
 @dataclass(slots=True)
 class LinkChannel:
-    """One realized point-to-point link.
+    """One realized point-to-point link, as ChannelRealization's per-link
+    views give it.
 
     matrix has shape (rx_elements, tx_elements); large_scale_gain is the
     linear power gain already folded into the matrix entries.
@@ -170,21 +169,22 @@ def path_loss_db(d: float, state: LinkState, env: EnvParams) -> float:
     return fspl + excess
 
 
-def terrestrial_path_loss_db(d: float, env: EnvParams, exponent: float = 3.5) -> float:
-    """Log-distance ground-to-ground path loss (1 m free-space reference)."""
+def terrestrial_path_loss_db(d: float, env: EnvParams) -> float:
+    """Log-distance ground-to-ground path loss: 35 dB per decade beyond a 1 m
+    free-space reference."""
     if not (d > 0):
         raise ValueError(f"link distance must be > 0, got {d}")
     ref = 20.0 * math.log10(4.0 * math.pi * env.f_c / SPEED_OF_LIGHT)
-    return ref + 10.0 * exponent * math.log10(d)
+    return ref + 35.0 * math.log10(d)
 
 
 def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
     """np.exp(1j * step * np.arange(count)) for each phase step, one row each.
 
-    The exponent is purely imaginary, so its complex exponential is exactly
-    (cos, sin) of its imaginary part; the real kernels give the same bits at
-    a fraction of the cost.  (1j * step has imaginary part +0.0 for a step of
-    -0.0; callers that need that sign pass +0.0.)
+    The argument is purely imaginary, so np.exp of it is exactly (cos, sin)
+    of its imaginary part; the real kernels give the same bits at a fraction
+    of the cost.  (1j * step has imaginary part +0.0 for a step of -0.0;
+    callers that need that sign pass +0.0.)
     """
     x = steps[:, None] * np.arange(count)
     out = np.empty(x.shape, dtype=complex)
@@ -193,22 +193,12 @@ def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def ula_response(count: int, angle_rad: float, spacing_wavelengths: float = 0.5) -> np.ndarray:
-    """Uniform-linear-array response: exp(j*2*pi*spacing*k*sin(angle)), k=0..count-1."""
-    if count < 1:
-        raise ValueError("element count must be >= 1")
-    if not (spacing_wavelengths > 0):
-        raise ValueError("element spacing must be > 0")
-    phase = 2.0 * math.pi * spacing_wavelengths * math.sin(angle_rad)
-    return _phasors(np.array([phase + 0.0]), count)[0]
-
-
 def _gain_from_pl(pl_db: float) -> float:
     # No amplification: clamp for pathological sub-wavelength distances.
     return min(1.0, db_to_linear(-pl_db))
 
 
-# Phase step per unit sin(angle) of a half-wavelength ULA (ula_response's default).
+# Phase step per unit sin(angle) of a half-wavelength ULA.
 _HALF_WAVE_STEP = 2.0 * math.pi * 0.5
 # Unit-variance complex Gaussian entries are raw normal pairs scaled by this
 # (the same bits as dividing the complex entries by sqrt(2)).
@@ -221,7 +211,6 @@ def _draw_links(
     tx_n: int,
     env: EnvParams,
     rng: np.random.Generator,
-    force_state: LinkState | None = None,
 ) -> tuple[np.ndarray, list[LinkState], list[float], list[float]]:
     """Draw air-to-ground links with equal element counts, in order.
 
@@ -230,8 +219,8 @@ def _draw_links(
     state draw, path loss, steering angles) are computed in ``math``: numpy's
     SIMD transcendentals differ from libm in the last bit.  The matrices are
     then built for all links at once.  Generator use per link: one uniform
-    for the state (consumed even under force_state, so forced and unforced
-    runs stay stream-aligned), then, for an NLoS link, its fading normals.
+    for the state (whatever the LoS probability), then, for an NLoS link,
+    its fading normals.
     """
     states: list[LinkState] = []
     gains: list[float] = []
@@ -251,8 +240,7 @@ def _draw_links(
         theta = math.degrees(math.atan2(abs(dz), math.hypot(dx, dy)))
         d = math.sqrt(dx**2 + dy**2 + dz**2)
         p_los = los_probability(theta, env)
-        u = rng.random()
-        state = force_state or (LinkState.LOS if u < p_los else LinkState.NLOS)
+        state = LinkState.LOS if rng.random() < p_los else LinkState.NLOS
         gains.append(_gain_from_pl(path_loss_db(d, state, env)))
         dists.append(d)
         states.append(state)
@@ -279,29 +267,6 @@ def _draw_links(
         else:
             matrices[[i for i, state in enumerate(states) if state is LinkState.LOS]] = outer
     return np.sqrt(gains)[:, None, None] * matrices, states, gains, dists
-
-
-def draw_link(
-    tx: Point3,
-    rx: Point3,
-    tx_n: int,
-    rx_n: int,
-    env: EnvParams,
-    rng: np.random.Generator,
-    force_state: LinkState | None = None,
-) -> LinkChannel:
-    """Draw one air-to-ground link between a ground node and an aerial node.
-
-    The LoS/NLoS state is Bernoulli in the elevation-keyed LoS probability
-    (one uniform draw, consumed even when force_state is given, so forced and
-    unforced runs stay stream-aligned).  The LoS matrix is the outer product
-    of unit-modulus array responses: the departure response is keyed to the
-    link azimuth at the transmitter, the arrival response to the (signed)
-    link elevation at the receiver.  NLoS entries are i.i.d. complex
-    Gaussian.  Both are scaled by the square root of the large-scale gain.
-    """
-    matrices, states, gains, dists = _draw_links([(tx, rx)], rx_n, tx_n, env, rng, force_state)
-    return LinkChannel(matrices[0], states[0], gains[0], dists[0])
 
 
 def realize_channels(

@@ -2,12 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from saris.channel import ChannelRealization, LinkState
+from saris.channel import ChannelRealization, EnvParams, LinkState, _draw_links
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+# Dense-urban losses with an LoS-probability sigmoid that pins the link state.
+# a = 200 keeps the LoS probability at most 8.4e-51 on (0, 90] degrees, so
+# only a state uniform of exactly 0.0 (one chance in 2**53) would draw LoS;
+# a = 1e-300 makes it exactly 1.0.  The state uniform is drawn either way, so
+# the stream advances as for any link.
+ALWAYS_NLOS = EnvParams(a=200.0, b=1.0, eta_los_db=1.6, eta_nlos_db=23.0)
+ALWAYS_LOS = EnvParams(a=1e-300, b=1.0, eta_los_db=1.6, eta_nlos_db=23.0)
+
+
+def draw_one_link(tx, rx, tx_n, rx_n, env, rng):
+    """One link through the study's drawing path: its (rx_n, tx_n) matrix,
+    state, large-scale gain and distance."""
+    matrices, states, gains, dists = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
+    return matrices[0], states[0], gains[0], dists[0]
 
 
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:

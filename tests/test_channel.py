@@ -5,27 +5,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_realization
+from conftest import ALWAYS_LOS, ALWAYS_NLOS, draw_one_link, make_realization
 from saris.channel import (
     ENV_PRESETS,
     ChannelRealization,
     EnvParams,
     LinkState,
+    _draw_links,
     cascade_rows,
     db_to_linear,
     dbm_to_watts,
-    draw_link,
     effective_channel,
     los_probability,
     path_loss_db,
     realize_channels,
     terrestrial_path_loss_db,
-    ula_response,
 )
 from saris.geometry import Point3, distance, elevation_angle_deg
 from saris.streams import substream
 
 DENSE = ENV_PRESETS["dense_urban"]
+# The environment that gives each forced state (None: the state is drawn).
+FORCING = {None: DENSE, LinkState.LOS: ALWAYS_LOS, LinkState.NLOS: ALWAYS_NLOS}
+
+
+def half_wave_response(count: int, angle: float) -> np.ndarray:
+    """Half-wavelength ULA response exp(1j * pi * k * sin(angle)), k = 0..count-1."""
+    return np.exp(1j * math.pi * math.sin(angle) * np.arange(count))
 
 
 class TestEnvParams:
@@ -110,29 +116,37 @@ class TestPathLoss:
 
 
 class TestUlaResponse:
+    """The LoS array responses, read off links drawn in an always-LoS environment."""
+
+    BS = Point3(0, 0, 0)
+
     def test_broadside_all_ones(self):
-        np.testing.assert_allclose(ula_response(4, 0.0), np.ones(4))
+        # the UAV lies along +x: departure azimuth 0 at the BS
+        m, _, gain, _ = draw_one_link(self.BS, Point3(100, 0, 120), 4, 1, ALWAYS_LOS, substream(1, "u"))
+        np.testing.assert_allclose(m / math.sqrt(gain), np.ones((1, 4)))
 
     def test_endfire_two_elements(self):
-        resp = ula_response(2, math.pi / 2, 0.5)
-        np.testing.assert_allclose(resp, [1.0, -1.0], atol=1e-12)
+        # the UAV is straight overhead: arrival elevation 90 degrees at the BS
+        m, _, gain, _ = draw_one_link(Point3(0, 0, 120), self.BS, 1, 2, ALWAYS_LOS, substream(1, "v"))
+        np.testing.assert_allclose(m / math.sqrt(gain), [[1.0], [-1.0]], atol=1e-12)
 
-    @given(st.integers(1, 64), st.floats(-math.pi, math.pi), st.floats(0.01, 2.0))
-    def test_unit_modulus(self, count, angle, spacing):
-        resp = ula_response(count, angle, spacing)
-        np.testing.assert_allclose(np.abs(resp), 1.0, atol=1e-12)
+    @given(st.integers(1, 64), st.floats(-300, 300), st.floats(-300, 300), st.floats(1, 300))
+    def test_unit_modulus(self, count, x, y, z):
+        m, _, gain, _ = draw_one_link(self.BS, Point3(x, y, z), count, count, ALWAYS_LOS, substream(1, "w"))
+        np.testing.assert_allclose(np.abs(m) / math.sqrt(gain), 1.0, atol=1e-12)
 
-    @given(st.integers(1, 64), st.floats(-math.pi, math.pi), st.floats(0.01, 2.0))
-    def test_bit_identical_to_complex_exponential(self, count, angle, spacing):
-        phase = 2.0 * math.pi * spacing * math.sin(angle)
-        expected = np.exp(1j * phase * np.arange(count))
-        assert ula_response(count, angle, spacing).tobytes() == expected.tobytes()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ula_response(0, 0.0)
-        with pytest.raises(ValueError):
-            ula_response(4, 0.0, 0.0)
+    @given(
+        st.integers(1, 64), st.integers(1, 64),
+        st.floats(-300, 300), st.floats(-300, 300), st.floats(1, 300),
+    )
+    def test_bit_identical_to_complex_exponential(self, rx_n, tx_n, x, y, z):
+        m, _, gain, d = draw_one_link(self.BS, Point3(x, y, z), tx_n, rx_n, ALWAYS_LOS, substream(1, "x"))
+        el_rx = math.asin(-z / d)
+        az_tx = math.atan2(y, x)
+        expected = math.sqrt(gain) * np.outer(
+            half_wave_response(rx_n, el_rx), np.conj(half_wave_response(tx_n, az_tx))
+        )
+        assert m.tobytes() == expected.tobytes()
 
 
 class TestDrawLink:
@@ -140,49 +154,45 @@ class TestDrawLink:
     UAV = Point3(100, 20, 120)
 
     def test_forced_los_scalar_magnitude(self):
-        lc = draw_link(self.BS, self.UAV, 1, 1, DENSE, substream(1, "a"), LinkState.LOS)
-        assert abs(lc.matrix[0, 0]) == pytest.approx(math.sqrt(lc.large_scale_gain), rel=1e-12)
+        m, _, gain, _ = draw_one_link(self.BS, self.UAV, 1, 1, ALWAYS_LOS, substream(1, "a"))
+        assert abs(m[0, 0]) == pytest.approx(math.sqrt(gain), rel=1e-12)
 
     def test_los_entries_share_magnitude(self):
-        lc = draw_link(self.BS, self.UAV, 8, 16, DENSE, substream(1, "b"), LinkState.LOS)
-        mags = np.abs(lc.matrix)
+        m, *_ = draw_one_link(self.BS, self.UAV, 8, 16, ALWAYS_LOS, substream(1, "b"))
+        mags = np.abs(m)
         np.testing.assert_allclose(mags, mags[0, 0], rtol=1e-12)
-        assert np.linalg.matrix_rank(lc.matrix) == 1
+        assert np.linalg.matrix_rank(m) == 1
 
     def test_forced_nlos_power_matches_gain(self):
-        rng = substream(1, "c")
-        draws = np.array(
-            [
-                draw_link(self.BS, self.UAV, 1, 1, DENSE, rng, LinkState.NLOS).matrix[0, 0]
-                for _ in range(20_000)
-            ]
+        matrices, states, gains, _ = _draw_links(
+            [(self.BS, self.UAV)] * 20_000, 1, 1, ALWAYS_NLOS, substream(1, "c")
         )
-        gain = draw_link(self.BS, self.UAV, 1, 1, DENSE, rng, LinkState.NLOS).large_scale_gain
-        assert np.mean(np.abs(draws) ** 2) == pytest.approx(gain, rel=0.04)
+        assert set(states) == {LinkState.NLOS}
+        assert np.mean(np.abs(matrices) ** 2) == pytest.approx(gains[0], rel=0.04)
 
     def test_state_frequency_tracks_los_probability(self):
-        rng = substream(1, "d")
         uav = Point3(100, 0, 100)  # elevation 45 deg
         p = los_probability(45.0, DENSE)
-        states = [draw_link(self.BS, uav, 1, 1, DENSE, rng).state for _ in range(20_000)]
+        _, states, _, _ = _draw_links([(self.BS, uav)] * 20_000, 1, 1, DENSE, substream(1, "d"))
         freq = np.mean([s is LinkState.LOS for s in states])
         assert freq == pytest.approx(p, abs=0.01)
 
     def test_gain_capped_at_unity(self):
-        lc = draw_link(Point3(0, 0, 0), Point3(0, 0, 1e-4), 1, 1, DENSE, substream(1, "e"))
-        assert lc.large_scale_gain <= 1.0
+        _, _, gain, _ = draw_one_link(Point3(0, 0, 0), Point3(0, 0, 1e-4), 1, 1, DENSE, substream(1, "e"))
+        assert gain <= 1.0
 
     @pytest.mark.parametrize("force", [None, LinkState.LOS, LinkState.NLOS])
     @pytest.mark.parametrize("seed", range(8))
     def test_bit_identical_to_public_formulas(self, seed, force):
         # the link is assembled from the geometry, LoS-probability, path-loss
-        # and array-response functions, in this generator order
+        # and array-response formulas, in this generator order; a forced
+        # state keeps dense-urban's losses
         gen = np.random.default_rng(seed)
         ground = Point3(*gen.uniform(-300, 300, 2), 0.0)
         aerial = Point3(*gen.uniform(-300, 300, 2), gen.uniform(1, 300))
         tx, rx = (ground, aerial) if seed % 2 else (aerial, ground)
         rng, probe = substream(seed, "formulas"), substream(seed, "formulas")
-        lc = draw_link(tx, rx, 5, 3, DENSE, rng, force)
+        link = draw_one_link(tx, rx, 5, 3, FORCING[force], rng)
 
         u = probe.random()
         p_los = los_probability(elevation_angle_deg(ground, aerial), DENSE)
@@ -192,21 +202,29 @@ class TestDrawLink:
         if state is LinkState.LOS:
             az_tx = math.atan2(rx.y - tx.y, rx.x - tx.x)
             el_rx = math.asin((tx.z - rx.z) / d)
-            expected = math.sqrt(gain) * np.outer(ula_response(3, el_rx), np.conj(ula_response(5, az_tx)))
+            expected = math.sqrt(gain) * np.outer(
+                half_wave_response(3, el_rx), np.conj(half_wave_response(5, az_tx))
+            )
         else:
             parts = probe.standard_normal((3, 5, 2))
             expected = math.sqrt(gain) * (parts.view(np.complex128)[..., 0] / math.sqrt(2.0))
-        assert (lc.state, lc.distance, lc.large_scale_gain) == (state, d, gain)
-        assert lc.matrix.tobytes() == expected.tobytes()
+        assert link[1:] == (state, gain, d)
+        assert link[0].tobytes() == expected.tobytes()
         assert rng.random() == probe.random()
 
     def test_rejects_identical_endpoints(self):
-        with pytest.raises(ValueError):
-            draw_link(self.BS, self.BS, 1, 1, DENSE, substream(1, "f"))
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            realize_channels(
+                self.BS, [self.BS], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
+                rng=substream(1, "f"),
+            )
 
     def test_rejects_equal_altitude(self):
-        with pytest.raises(ValueError):
-            draw_link(self.BS, Point3(10, 0, 0), 1, 1, DENSE, substream(1, "g"))
+        with pytest.raises(ValueError, match="strictly above"):
+            realize_channels(
+                self.BS, [Point3(10, 0, 0)], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
+                rng=substream(1, "g"),
+            )
 
 
 class TestRealizeChannels:
@@ -310,6 +328,20 @@ class TestRealizeChannels:
                 states=r.states, gains=r.gains, distances=r.distances,
             )
 
+    def test_rejects_empty_swarm(self):
+        with pytest.raises(ValueError, match="at least one UAV"):
+            realize_channels(
+                self.BS, [], self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE, rng=substream(2, "f"),
+            )
+
+    def test_rejects_element_counts_below_one(self):
+        for M, N in [(0, 4), (4, 0)]:
+            with pytest.raises(ValueError, match="element counts"):
+                realize_channels(
+                    self.BS, self.UAVS, self.USER, M=M, N=N, eta_reflect=0.9, env=DENSE,
+                    rng=substream(2, "g"),
+                )
+
     def test_unknown_direct_mode(self):
         with pytest.raises(ValueError):
             realize_channels(
@@ -371,10 +403,9 @@ class TestEffectiveChannel:
 
     def test_nlos_fourth_moment(self):
         # |h|^2 / gain is exponential(1): second moment of the power is 2
-        rng = substream(4, "m")
-        lc = draw_link(
-            Point3(0, 0, 0), Point3(50, 0, 300), 500, 200, DENSE, rng, LinkState.NLOS
+        m, _, gain, _ = draw_one_link(
+            Point3(0, 0, 0), Point3(50, 0, 300), 500, 200, ALWAYS_NLOS, substream(4, "m")
         )
-        power = np.abs(lc.matrix.ravel()) ** 2 / lc.large_scale_gain
+        power = np.abs(m.ravel()) ** 2 / gain
         assert power.size == 100_000
         assert np.mean(power**2) == pytest.approx(2.0, rel=0.05)

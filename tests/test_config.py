@@ -17,6 +17,13 @@ class TestParseFile:
         settings = config.parse_file(p)
         assert settings == {"scenario.L": "5", "env.a": "9.61"}
 
+    def test_repeated_key_takes_its_last_value(self, tmp_path):
+        p = tmp_path / "a.cfg"
+        p.write_text("grid.search_trials = 100\nscenario.L = 5\ngrid.search_trials = 5\n")
+        settings = config.parse_file(p)
+        assert settings == {"grid.search_trials": "5", "scenario.L": "5"}
+        assert config.apply_settings(settings).search_trials == 5
+
     def test_unknown_key_named_in_error(self, tmp_path):
         p = tmp_path / "a.cfg"
         p.write_text("scenario.antennas = 4\n")
