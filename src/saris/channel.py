@@ -85,16 +85,10 @@ class LinkState(enum.Enum):
 @dataclass(slots=True)
 class LinkChannel:
     """One realized point-to-point link, as ChannelRealization's per-link
-    views give it.
-
-    matrix has shape (rx_elements, tx_elements); large_scale_gain is the
-    linear power gain already folded into the matrix entries.
-    """
+    views give it: matrix has shape (rx_elements, tx_elements)."""
 
     matrix: np.ndarray
     state: LinkState
-    large_scale_gain: float
-    distance: float
 
 
 @dataclass
@@ -103,8 +97,8 @@ class ChannelRealization:
 
     G (L, N, M) stacks the BS->UAV matrices and h (L, N) the UAV->user
     vectors; direct is the (M,) BS->user vector, or None when the direct path
-    is blocked (the dead-zone default).  states, gains and distances hold one
-    entry per UAV link, the L BS->UAV links first.  The cascaded contribution
+    is blocked (the dead-zone default).  states holds one entry per UAV
+    link, the L BS->UAV links first.  The cascaded contribution
     rows of ``cascade_rows`` are built once, at construction.
     """
 
@@ -113,8 +107,6 @@ class ChannelRealization:
     direct: np.ndarray | None
     eta_reflect: float
     states: list[LinkState]
-    gains: list[float]
-    distances: list[float]
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     direct_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -144,13 +136,13 @@ class ChannelRealization:
         """Per-link views into G, each (N, M), built on demand (the benchmark
         tracer reads link states through them)."""
         L = self.L
-        return list(map(LinkChannel, self.G, self.states[:L], self.gains[:L], self.distances[:L]))
+        return list(map(LinkChannel, self.G, self.states[:L]))
 
     @property
     def uav_to_user(self) -> list[LinkChannel]:
         """Per-link views into h, each (1, N)."""
         L = self.L
-        return list(map(LinkChannel, self.h[:, None], self.states[L:], self.gains[L:], self.distances[L:]))
+        return list(map(LinkChannel, self.h[:, None], self.states[L:]))
 
 
 def los_probability(theta_deg: float, env: EnvParams) -> float:
@@ -296,8 +288,8 @@ def realize_channels(
     if direct_link_mode not in ("blocked", "terrestrial_nlos"):
         raise ValueError(f"unknown direct_link_mode: {direct_link_mode!r}")
 
-    G, states, gains, dists = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
-    h, h_states, h_gains, h_dists = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
+    G, states, _, _ = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
+    h, h_states, _, _ = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
     direct = None
     if direct_link_mode == "terrestrial_nlos":
         # Ground-to-ground NLoS path: log-distance loss, i.i.d. complex Gaussian.
@@ -305,9 +297,7 @@ def realize_channels(
         normals = rng.standard_normal((M, 2))
         normals *= _INV_SQRT2
         direct = math.sqrt(gain) * normals.view(np.complex128)[:, 0]
-    return ChannelRealization(
-        G, h[:, 0], direct, eta_reflect, states + h_states, gains + h_gains, dists + h_dists
-    )
+    return ChannelRealization(G, h[:, 0], direct, eta_reflect, states + h_states)
 
 
 def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:

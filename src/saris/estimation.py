@@ -18,7 +18,6 @@ from . import beamforming
 from .channel import ChannelRealization, cascade_rows, effective_channel
 
 __all__ = [
-    "SubsurfaceGrouping",
     "EstimationResult",
     "coefficient_count",
     "group_subsurfaces",
@@ -27,21 +26,6 @@ __all__ = [
     "run_estimation",
     "rate_loss",
 ]
-
-
-@dataclass(frozen=True)
-class SubsurfaceGrouping:
-    """Contiguous equal-size grouping of the L*N elements into n_groups."""
-
-    n_groups: int
-    group_size: int
-    L: int
-    N: int
-
-    def expand(self, group_values: np.ndarray) -> np.ndarray:
-        """Broadcast one value per group to the L*N elements, in cascade-row
-        order."""
-        return np.repeat(group_values, self.group_size)
 
 
 @dataclass
@@ -59,12 +43,16 @@ def coefficient_count(M: int, N: int, L: int, K: int) -> int:
     return K * M * N * L + K * M
 
 
-def group_subsurfaces(L: int, N: int, n_groups: int) -> SubsurfaceGrouping:
-    """Partition the L*N elements (flattened UAV-major) into contiguous groups."""
+def group_subsurfaces(L: int, N: int, n_groups: int) -> int:
+    """Size of each of n_groups contiguous, equal groups of the L*N elements.
+
+    Group g holds cascade rows g*size .. (g+1)*size - 1 (UAV-major), so
+    ``np.repeat(group_values, size)`` gives each element its group's value.
+    """
     total = L * N
     if n_groups < 1 or total % n_groups != 0:
         raise ValueError(f"n_groups={n_groups} must divide the element count {total}")
-    return SubsurfaceGrouping(n_groups=n_groups, group_size=total // n_groups, L=L, N=N)
+    return total // n_groups
 
 
 def pilot_patterns(n_groups: int) -> np.ndarray:
@@ -79,22 +67,19 @@ def pilot_patterns(n_groups: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(n) / n).reshape(-1, 1) ** np.arange(n)
 
 
-def group_aggregate_channels(
-    r: ChannelRealization, grouping: SubsurfaceGrouping
-) -> tuple[np.ndarray, np.ndarray]:
+def group_aggregate_channels(r: ChannelRealization, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth aggregates: per-group sums of the cascaded contribution
     rows, plus the direct row (zeros when the direct path is blocked)."""
-    if grouping.L != r.L or grouping.N != r.N:
-        raise ValueError("grouping does not match the realization dimensions")
+    size = group_subsurfaces(r.L, r.N, n_groups)
     rows, direct_row = cascade_rows(r)
-    groups = rows.reshape(grouping.n_groups, grouping.group_size, r.M).sum(axis=1)
+    groups = rows.reshape(n_groups, size, r.M).sum(axis=1)
     direct = direct_row if direct_row is not None else np.zeros(r.M, dtype=complex)
     return groups, direct
 
 
 def run_estimation(
     r: ChannelRealization,
-    grouping: SubsurfaceGrouping,
+    n_groups: int,
     pilot_snr_db: float | None,
     rng: np.random.Generator,
     noise_w: float | None = None,
@@ -112,7 +97,7 @@ def run_estimation(
     if pilot_snr_db is None and noise_w is None:
         raise ValueError("pilot noise needs a pilot SNR or the data noise power noise_w")
 
-    truth_groups, truth_direct = group_aggregate_channels(r, grouping)
+    truth_groups, truth_direct = group_aggregate_channels(r, n_groups)
     x_true = np.vstack([truth_direct, truth_groups])  # (N'+1, M)
     # np.fft is loaded lazily by numpy, so studies that never estimate skip it.
     y = np.fft.fft(x_true, axis=0)
@@ -135,7 +120,7 @@ def run_estimation(
         direct_estimate=x_hat[0],
         group_estimates=x_hat[1:],
         mse=mse,
-        overhead_symbols=grouping.n_groups + 1,
+        overhead_symbols=n_groups + 1,
     )
 
 
@@ -159,11 +144,11 @@ def rate_loss(
     keeps the better of the two, so delta >= 0 holds per trial.
     """
     tol_run = min(tol, 1e-10)
-    grouping = group_subsurfaces(r.L, r.N, len(est.group_estimates))
+    size = group_subsurfaces(r.L, r.N, len(est.group_estimates))
     d_hat = est.direct_estimate if r.direct_row is not None else None
 
     est_sol = beamforming.optimize_rows(est.group_estimates, d_hat, tol_run, max_iter)
-    e_true = effective_channel(r, grouping.expand(est_sol.phases))
+    e_true = effective_channel(r, np.repeat(est_sol.phases, size))
     obj_est = abs(e_true @ est_sol.w) ** 2
 
     obj_perfect = beamforming.alternating_optimize(r, tol_run, max_iter).objective

@@ -168,13 +168,15 @@ def run_estimation_sweep(
     rate is compared against the perfect-CSI per-element solution.
     """
     scenario, bf = cfg.scenario, cfg.bf
-    groupings = _sweep_points(
-        n_groups_values, lambda g: estimation.group_subsurfaces(scenario.L, scenario.N, int(g))
-    )
+
+    def check_n_groups(g) -> int:
+        estimation.group_subsurfaces(scenario.L, scenario.N, int(g))
+        return int(g)
+
+    n_groups_values = _sweep_points(n_groups_values, check_n_groups)
     pilot_snr_values = _sweep_points(pilot_snr_values, _check_pilot_snr)
     rows = []
-    for grouping in groupings:
-        n_groups = grouping.n_groups
+    for n_groups in n_groups_values:
         for snr_db in pilot_snr_values:
             snr_key = "data" if snr_db is None else float(snr_db)
             rng = substream(scenario.seed, "estimate", n_groups, str(snr_key))
@@ -183,7 +185,7 @@ def run_estimation_sweep(
             rates_e = np.empty(scenario.trials)
             for i in range(scenario.trials):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                est = estimation.run_estimation(r, grouping, snr_db, rng, noise_w=scenario.noise_w)
+                est = estimation.run_estimation(r, n_groups, snr_db, rng, noise_w=scenario.noise_w)
                 rate_p, rate_e, _ = estimation.rate_loss(
                     r, est, scenario.p_tx_w, scenario.noise_w, bf.tol, bf.max_iter
                 )

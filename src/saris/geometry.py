@@ -17,7 +17,6 @@ __all__ = [
     "Point3",
     "DiskRegion",
     "distance",
-    "horizontal_distance",
     "elevation_angle_deg",
     "sample_uniform_disk",
     "sample_cluster",
@@ -56,10 +55,6 @@ def distance(a: Point3, b: Point3) -> float:
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
-def horizontal_distance(a: Point3, b: Point3) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def elevation_angle_deg(ground: Point3, aerial: Point3) -> float:
     """Elevation of ``aerial`` seen from ``ground``, in (0, 90].
 
@@ -69,7 +64,7 @@ def elevation_angle_deg(ground: Point3, aerial: Point3) -> float:
     dz = aerial.z - ground.z
     if dz <= 0:
         raise ValueError("aerial node must be strictly above the ground node")
-    return math.degrees(math.atan2(dz, horizontal_distance(ground, aerial)))
+    return math.degrees(math.atan2(dz, math.hypot(ground.x - aerial.x, ground.y - aerial.y)))
 
 
 def sample_uniform_disk(region: DiskRegion, rng: np.random.Generator) -> Point3:

@@ -28,18 +28,15 @@ def draw_one_link(tx, rx, tx_n, rx_n, env, rng):
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:
     """Realization from explicit per-UAV matrices: bs_mats[l] is (N, M),
     user_mats[l] is (1, N), direct is (1, M) or None.  Every UAV link is
-    recorded as LoS at unit gain and 100 m."""
+    recorded as LoS."""
     G = np.array(bs_mats, dtype=complex)
     h = np.array(user_mats, dtype=complex)[:, 0]
-    links = 2 * len(G)
     return ChannelRealization(
         G=G,
         h=h,
         direct=np.asarray(direct, dtype=complex)[0] if direct is not None else None,
         eta_reflect=eta,
-        states=[LinkState.LOS] * links,
-        gains=[1.0] * links,
-        distances=[100.0] * links,
+        states=[LinkState.LOS] * (2 * len(G)),
     )
 
 

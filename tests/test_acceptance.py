@@ -19,12 +19,7 @@ from saris.beamforming import alternating_optimize
 from saris.channel import ENV_PRESETS, los_probability
 from saris.config import SimConfig
 from saris.deployment import Grid2D, Scenario, _draw_trial, grid_search
-from saris.estimation import (
-    coefficient_count,
-    group_aggregate_channels,
-    group_subsurfaces,
-    run_estimation,
-)
+from saris.estimation import coefficient_count, group_aggregate_channels, run_estimation
 from saris.experiments import run_rate_vs_radius, run_rate_vs_uavs
 from saris.geometry import DiskRegion, Point3, sample_uniform_disk
 from saris.streams import substream
@@ -180,9 +175,8 @@ class TestCriterion08Estimation:
         for n_groups in (1, 10, 40, 200):
             for trial in range(3):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                grouping = group_subsurfaces(scenario.L, scenario.N, n_groups)
-                est = run_estimation(r, grouping, math.inf, rng)
-                truth, _ = group_aggregate_channels(r, grouping)
+                est = run_estimation(r, n_groups, math.inf, rng)
+                truth, _ = group_aggregate_channels(r, n_groups)
                 rel = np.linalg.norm(est.group_estimates - truth) / np.linalg.norm(truth)
                 assert rel < 1e-9, f"N'={n_groups}: relative error {rel:.2e}"
                 assert est.overhead_symbols == n_groups + 1
@@ -191,14 +185,13 @@ class TestCriterion08Estimation:
     def test_mse_slope_minus_one_per_decade(self):
         rng = substream(0xE57, "slope")
         scenario = Scenario()
-        grouping = group_subsurfaces(scenario.L, scenario.N, 10)
         snrs = np.array([0.0, 10.0, 20.0, 30.0])
         mses = []
         for snr in snrs:
             vals = []
             for _ in range(120):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                vals.append(run_estimation(r, grouping, float(snr), rng).mse)
+                vals.append(run_estimation(r, 10, float(snr), rng).mse)
             mses.append(np.mean(vals))
         slope = np.polyfit(snrs / 10.0, np.log10(mses), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1), f"slope {slope:.3f}"

@@ -239,7 +239,7 @@ class TestRealizeChannels:
         )
         assert (r.L, r.N, r.M) == (10, 20, 16)
         assert r.G.shape == (10, 20, 16) and r.h.shape == (10, 20)
-        assert len(r.states) == len(r.gains) == len(r.distances) == 20
+        assert len(r.states) == 20
         assert len(r.bs_to_uav) == 10 and len(r.uav_to_user) == 10
         assert all(lc.matrix.shape == (20, 16) for lc in r.bs_to_uav)
         assert all(lc.matrix.shape == (1, 20) for lc in r.uav_to_user)
@@ -285,11 +285,9 @@ class TestRealizeChannels:
             assert np.shares_memory(r.uav_to_user[l].matrix, r.h)
             assert (r.bs_to_uav[l].matrix == r.G[l]).all()
             assert (r.uav_to_user[l].matrix[0] == r.h[l]).all()
-            # per-link scalars: the BS->UAV links first, then the UAV->user links
-            for lc, k in ((r.bs_to_uav[l], l), (r.uav_to_user[l], 10 + l)):
-                assert (lc.state, lc.large_scale_gain, lc.distance) == (r.states[k], r.gains[k], r.distances[k])
-        assert r.distances[0] == distance(self.BS, self.UAVS[0])
-        assert r.distances[10] == distance(self.UAVS[0], self.USER)
+            # link states: the BS->UAV links first, then the UAV->user links
+            assert r.bs_to_uav[l].state is r.states[l]
+            assert r.uav_to_user[l].state is r.states[10 + l]
 
     def test_rows_match_per_uav_assembly(self):
         r = realize_channels(
@@ -325,7 +323,7 @@ class TestRealizeChannels:
         with pytest.raises(ValueError, match="stack"):
             ChannelRealization(
                 G=r.G, h=np.ones((1, 2), dtype=complex), direct=None, eta_reflect=0.9,
-                states=r.states, gains=r.gains, distances=r.distances,
+                states=r.states,
             )
 
     def test_rejects_empty_swarm(self):

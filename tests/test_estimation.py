@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_realization, random_realization
+from saris.channel import effective_channel
 from saris.estimation import (
     coefficient_count,
     group_aggregate_channels,
@@ -32,40 +33,34 @@ class TestCoefficientCount:
 
 class TestGrouping:
     def test_paper_grouping(self):
-        g = group_subsurfaces(10, 20, 40)
-        assert g.group_size == 5
-        assert g.expand(np.arange(40))[7] == 1
+        assert group_subsurfaces(10, 20, 40) == 5
 
     def test_singleton_groups(self):
-        g = group_subsurfaces(2, 3, 6)
-        assert g.group_size == 1
-        assert g.expand(np.arange(6))[5] == 5
+        assert group_subsurfaces(2, 3, 6) == 1
 
     def test_one_group(self):
-        g = group_subsurfaces(2, 3, 1)
-        assert g.group_size == 6
-        assert g.expand(np.arange(1))[5] == 0
-
-    def test_every_element_assigned_once(self):
-        g = group_subsurfaces(4, 6, 8)
-        counts = np.bincount(g.expand(np.arange(8)), minlength=8)
-        assert (counts == g.group_size).all()
-
-    def test_contiguous_within_uav(self):
-        g = group_subsurfaces(2, 8, 4)
-        groups = list(g.expand(np.arange(4)))
-        assert groups == sorted(groups)
-        assert groups[:8] == [0, 0, 0, 0, 1, 1, 1, 1]  # UAV 0's elements
+        assert group_subsurfaces(2, 3, 1) == 6
 
     def test_non_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            group_subsurfaces(10, 20, 3)
+        for n_groups in (0, 3, 400):
+            with pytest.raises(ValueError, match="must divide"):
+                group_subsurfaces(10, 20, n_groups)
 
-    def test_expand_broadcasts_group_values(self):
-        g = group_subsurfaces(2, 4, 4)
-        full = g.expand(np.array([0.0, 1.0, 2.0, 3.0]))
-        assert full.shape == (8,)
-        assert (full == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]).all()
+    def test_aggregates_match_expanded_phases(self, rng):
+        # aggregation and np.repeat expansion share the contiguous, UAV-major
+        # layout: one shared phase per group gives the same effective channel
+        # through either
+        for L, N, direct in [(2, 4, False), (3, 4, True), (1, 6, True), (4, 6, False)]:
+            r = random_realization(rng, L, N, 3, direct=direct)
+            for n_groups in [n for n in range(1, L * N + 1) if L * N % n == 0]:
+                size = group_subsurfaces(L, N, n_groups)
+                theta = rng.uniform(-np.pi, np.pi, n_groups)
+                groups, direct_row = group_aggregate_channels(r, n_groups)
+                np.testing.assert_allclose(
+                    effective_channel(r, np.repeat(theta, size)),
+                    np.exp(1j * theta) @ groups + direct_row,
+                    rtol=0, atol=1e-12,
+                )
 
 
 class TestPilotBook:
@@ -112,9 +107,8 @@ class TestRunEstimation:
     @pytest.mark.parametrize("n_groups", [1, 2, 4, 8])
     def test_noiseless_exact_recovery(self, rng, n_groups):
         r = random_realization(rng, 2, 4, 3, direct=True)
-        grouping = group_subsurfaces(2, 4, n_groups)
-        est = run_estimation(r, grouping, math.inf, substream(1, "e"))
-        truth_groups, truth_direct = group_aggregate_channels(r, grouping)
+        est = run_estimation(r, n_groups, math.inf, substream(1, "e"))
+        truth_groups, truth_direct = group_aggregate_channels(r, n_groups)
         rel = np.linalg.norm(est.group_estimates - truth_groups) / np.linalg.norm(truth_groups)
         assert rel < 1e-12
         np.testing.assert_allclose(est.direct_estimate, truth_direct, atol=1e-12)
@@ -127,8 +121,7 @@ class TestRunEstimation:
         h = np.array([[0.8 + 0.1j]])
         d = np.array([[0.2 + 0.5j]])
         r = make_realization([g], [h], eta=0.9, direct=d)
-        grouping = group_subsurfaces(1, 1, 1)
-        est = run_estimation(r, grouping, math.inf, substream(2, "h"))
+        est = run_estimation(r, 1, math.inf, substream(2, "h"))
         b_true = 0.9 * np.conj(h[0, 0]) * g[0, 0]
         d_true = np.conj(d[0, 0])
         y0 = d_true + b_true
@@ -138,13 +131,12 @@ class TestRunEstimation:
 
     def test_mse_slope_minus_one_per_decade(self, rng):
         r = random_realization(rng, 2, 4, 2)
-        grouping = group_subsurfaces(2, 4, 4)
         snrs = np.array([0.0, 10.0, 20.0, 30.0])
         mses = []
         for snr in snrs:
             stream = substream(3, "slope", float(snr))
             mses.append(
-                np.mean([run_estimation(r, grouping, snr, stream).mse for _ in range(200)])
+                np.mean([run_estimation(r, 4, snr, stream).mse for _ in range(200)])
             )
         assert all(b < a for a, b in zip(mses, mses[1:]))  # monotone in pilot SNR
         slope = np.polyfit(snrs / 10.0, np.log10(mses), 1)[0]
@@ -152,28 +144,26 @@ class TestRunEstimation:
 
     def test_noise_floor_uses_data_noise_when_unset(self, rng):
         r = random_realization(rng, 1, 2, 2)
-        grouping = group_subsurfaces(1, 2, 2)
-        est = run_estimation(r, grouping, None, substream(4, "n"), noise_w=1e-30)
+        est = run_estimation(r, 2, None, substream(4, "n"), noise_w=1e-30)
         assert est.mse > 0
 
     def test_data_noise_mode_without_noise_power_rejected(self, rng):
         r = random_realization(rng, 1, 2, 2)
         with pytest.raises(ValueError, match="noise_w"):
-            run_estimation(r, group_subsurfaces(1, 2, 2), None, substream(4, "n"))
+            run_estimation(r, 2, None, substream(4, "n"))
 
 
 class TestRateLoss:
     def test_per_element_noiseless_recovers_perfect_csi(self, rng):
         for _ in range(5):
             r = random_realization(rng, 2, 3, 4)
-            grouping = group_subsurfaces(2, 3, 6)
-            est = run_estimation(r, grouping, math.inf, substream(6, "p"))
+            est = run_estimation(r, 6, math.inf, substream(6, "p"))
             rate_p, rate_e, delta = rate_loss(r, est, p_tx=0.1, noise=1e-3)
             assert 0 <= delta <= 1e-6
 
     def test_single_group_loss_nonnegative(self, rng):
         r = random_realization(rng, 2, 3, 4)
-        est = run_estimation(r, group_subsurfaces(2, 3, 1), math.inf, substream(7, "q"))
+        est = run_estimation(r, 1, math.inf, substream(7, "q"))
         rate_p, rate_e, delta = rate_loss(r, est, p_tx=0.1, noise=1e-3)
         assert delta >= 0
         assert rate_e <= rate_p
@@ -183,7 +173,7 @@ class TestRateLoss:
         for n_groups in (1, 3, 9):
             for _ in range(30):
                 r = random_realization(rng, 3, 3, 2)
-                est = run_estimation(r, group_subsurfaces(3, 3, n_groups), 5.0, rng)
+                est = run_estimation(r, n_groups, 5.0, rng)
                 rate_p, rate_e, delta = rate_loss(r, est, p_tx=0.1, noise=1e-3)
                 assert rate_e <= rate_p + 1e-12
                 assert delta >= -1e-12
@@ -195,7 +185,7 @@ class TestRateLoss:
         for _ in range(300):
             r = random_realization(rng, 2, 4, 2)
             for n_groups in deltas:
-                est = run_estimation(r, group_subsurfaces(2, 4, n_groups), math.inf, rng)
+                est = run_estimation(r, n_groups, math.inf, rng)
                 deltas[n_groups].append(rate_loss(r, est, p_tx=0.1, noise=1e-3)[2])
         means = [np.mean(deltas[n]) for n in (1, 2, 4, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))

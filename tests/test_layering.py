@@ -5,7 +5,12 @@ form and each layer can be read and tested without the ones above it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saris"
 
@@ -48,3 +53,16 @@ def test_imports_point_to_earlier_layers_only():
         if RANK.get(target, len(LAYERS)) >= RANK[path.stem]
     ]
     assert upward == []
+
+
+@pytest.mark.parametrize("module", sorted(RANK, key=RANK.get))
+def test_importing_a_layer_loads_no_later_layer(module):
+    # a fresh interpreter, so nothing this test process imported counts
+    pythonpath = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    code = f"import sys, saris.{module}; print(*sorted(m for m in sys.modules if m.startswith('saris.')))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    later = [name for name in loaded if RANK[name.removeprefix("saris.")] > RANK[module]]
+    assert f"saris.{module}" in loaded and later == []
