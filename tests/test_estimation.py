@@ -41,6 +41,31 @@ class TestGrouping:
     def test_one_group(self):
         assert group_subsurfaces(2, 3, 1) == 6
 
+    @staticmethod
+    def group_members(L, N, n_groups):
+        # element k's cascade row is 2**k, so each group's aggregate spells
+        # out, in binary, which elements it holds
+        labels = 2.0 ** np.arange(L * N).reshape(L, 1, N)
+        r = make_realization(np.ones((L, N, 1)), labels, eta=1.0)
+        groups, _ = group_aggregate_channels(r, n_groups)
+        return [[k for k in range(L * N) if int(g.real) >> k & 1] for g in groups[:, 0]]
+
+    def test_every_element_assigned_once(self):
+        size = group_subsurfaces(4, 6, 8)
+        members = self.group_members(4, 6, 8)
+        assert all(len(m) == size for m in members)
+        assert sorted(k for m in members for k in m) == list(range(24))
+
+    def test_contiguous_within_uav(self):
+        members = self.group_members(2, 8, 4)
+        assert members == [list(range(4 * g, 4 * g + 4)) for g in range(4)]
+        assert max(members[0] + members[1]) < 8  # UAV 0's elements
+
+    def test_expand_broadcasts_group_values(self):
+        full = np.repeat(np.array([0.0, 1.0, 2.0, 3.0]), group_subsurfaces(2, 4, 4))
+        assert full.shape == (8,)
+        assert (full == [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]).all()
+
     def test_non_divisor_rejected(self):
         for n_groups in (0, 3, 400):
             with pytest.raises(ValueError, match="must divide"):
