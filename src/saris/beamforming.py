@@ -2,7 +2,7 @@
 alternated with per-element reflection phase alignment.
 
 Both half-steps are exact maximizers given the other variable, so the
-objective |h_eff^H w|^2 ascends monotonically; convergence is declared when
+objective |e @ w|^2 ascends monotonically; convergence is declared when
 the relative gain drops below a tolerance.
 """
 
@@ -48,19 +48,14 @@ class BfOptions:
 class BeamformingSolution(NamedTuple):
     """Converged beamformer: unit-norm w, one phase per contribution row
     (for a realization, the L*N elements in cascade-row order, UAV-major),
-    the effective channel in column convention (so |h_eff^H w|^2 is the
-    received power factor), the per-half-step objective trace, and the
-    number of iterations run."""
+    the final objective |e @ w|^2 (= objective_trace[-1]), the per-half-step
+    objective trace, and the number of iterations run."""
 
     w: np.ndarray
     phases: np.ndarray
-    h_eff: np.ndarray
+    objective: float
     objective_trace: list[float]
     iterations: int
-
-    @property
-    def objective(self) -> float:
-        return self.objective_trace[-1]
 
 
 def mrt(h: np.ndarray) -> np.ndarray:
@@ -140,7 +135,7 @@ def optimize_rows(
             break
         obj = new_obj
     theta = np.mod(np.angle(phasor), TWO_PI)
-    return BeamformingSolution(w, theta, np.conj(e), trace, iterations)
+    return BeamformingSolution(w, theta, new_obj, trace, iterations)
 
 
 def alternating_optimize(

@@ -217,9 +217,12 @@ def _draw_links(
     states: list[LinkState] = []
     gains: list[float] = []
     dists: list[float] = []
+    los_rows: list[int] = []
     steps_rx: list[float] = []
     steps_tx: list[float] = []
-    normals = None
+    matrices = np.zeros((len(pairs), rx_n, tx_n), dtype=complex)
+    # A row's float view holds (re, im) pairs as a (rx_n, tx_n, 2) array would.
+    normals = matrices.view(np.float64)
     for i, (tx, rx) in enumerate(pairs):
         dx = tx.x - rx.x
         dy = tx.y - rx.y
@@ -237,27 +240,20 @@ def _draw_links(
         dists.append(d)
         states.append(state)
         if state is LinkState.LOS:
+            los_rows.append(i)
             # Arrival keyed to the signed elevation at rx, departure to the
             # azimuth at tx.
             steps_rx.append(_HALF_WAVE_STEP * math.sin(math.asin(dz / d)))
             steps_tx.append(_HALF_WAVE_STEP * math.sin(math.atan2(rx.y - tx.y, rx.x - tx.x)))
         else:
-            if normals is None:
-                normals = np.zeros((len(pairs), rx_n, tx_n, 2))
             rng.standard_normal(out=normals[i])
 
-    n_los = len(steps_rx)
-    if normals is not None:
-        normals *= _INV_SQRT2
-        matrices = normals.view(np.complex128)[..., 0]
+    normals *= _INV_SQRT2
+    n_los = len(los_rows)
     if n_los:
         # Rank-1 LoS structure: outer product of the unit-modulus responses.
         responses = _phasors(np.array(steps_rx + steps_tx), max(rx_n, tx_n))
-        outer = responses[:n_los, :rx_n, None] * np.conj(responses[n_los:, None, :tx_n])
-        if n_los == len(pairs):
-            matrices = outer
-        else:
-            matrices[[i for i, state in enumerate(states) if state is LinkState.LOS]] = outer
+        matrices[los_rows] = responses[:n_los, :rx_n, None] * np.conj(responses[n_los:, None, :tx_n])
     return np.sqrt(gains)[:, None, None] * matrices, states, gains, dists
 
 

@@ -56,7 +56,13 @@ def _fmt(value) -> str:
 def parse_pilot_snr(raw: str) -> float | None:
     """A pilot SNR in dB (``inf`` allowed), or ``data``: reuse the data noise
     power, returned as None."""
-    return None if raw == "data" else float(raw)
+    if raw == "data":
+        return None
+    snr_db = float(raw)
+    # rejects nan, and -inf dB, which the noise model would read as noiseless
+    if not snr_db > -math.inf:
+        raise ValueError(f"pilot SNR must be a number, inf or 'data', got {raw!r}")
+    return snr_db
 
 
 def _finite(raw: str) -> float:

@@ -37,6 +37,7 @@ __all__ = [
 
 
 BASELINE_ALTITUDE_M = 50.0  # swarm center height above the user-region center
+BS_POSITION = Point3(0.0, 0.0, 0.0)  # at the origin: x_u_m is measured from the BS
 MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from allocating 1e300 cells
 
 
@@ -44,7 +45,6 @@ MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from all
 class Scenario:
     """Full simulation scenario; field names mirror the config keys."""
 
-    bs: Point3 = field(default_factory=lambda: Point3(0.0, 0.0, 0.0))
     M: int = 16
     N: int = 20
     L: int = 10
@@ -136,7 +136,7 @@ def _draw_trial(scenario: Scenario, center: Point3, rng: np.random.Generator) ->
     user = sample_uniform_disk(DiskRegion(Point3(scenario.x_u_m, 0.0, 0.0), scenario.r_u_m), rng)
     uavs = sample_cluster(DiskRegion(center, scenario.r_a_m), scenario.L, rng)
     return realize_channels(
-        scenario.bs,
+        BS_POSITION,
         uavs,
         user,
         M=scenario.M,
@@ -197,12 +197,12 @@ def evaluate_position(
 ) -> float:
     """Mean channel power gain in dB at a candidate center (objective="gain"),
     or mean achievable rate in bit/s/Hz (objective="rate")."""
+    if objective not in ("gain", "rate"):
+        raise ValueError(f"unknown objective: {objective!r}")
     gains, rates = collect_metrics(scenario, center, trials, rng, bf)
     if objective == "gain":
         return float(10.0 * np.log10(gains.mean()))
-    if objective == "rate":
-        return float(rates.mean())
-    raise ValueError(f"unknown objective: {objective!r}")
+    return float(rates.mean())
 
 
 def grid_search(
@@ -221,7 +221,6 @@ def grid_search(
     """
     xs, zs = grid.x_values, grid.z_values
     values = np.empty((len(xs), len(zs)))
-    best = (float(xs[0]), float(zs[0]), -math.inf)
     for ix, x in enumerate(xs):
         for iz, z in enumerate(zs):
             cell_rng = substream(master_seed, "deploy-map", ix, iz)
@@ -230,6 +229,6 @@ def grid_search(
             if not math.isfinite(v):
                 raise ValueError(f"non-finite score {v} at grid cell x={x:g} m, z={z:g} m")
             values[ix, iz] = v
-            if v > best[2]:
-                best = (float(x), float(z), v)
+    ix, iz = np.unravel_index(np.argmax(values), values.shape)
+    best = (float(xs[ix]), float(zs[iz]), float(values[ix, iz]))
     return GainMap(grid=grid, mean_gain_db=values, best=best)

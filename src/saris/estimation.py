@@ -131,17 +131,17 @@ def rate_loss(
     noise: float,
     tol: float = 1e-6,
     max_iter: int = 100,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
     """Rate under estimated CSI (one shared phase per group, beamformer built
     from the estimates, evaluated on the true channel) against the true
     per-element solution.
 
-    Returns (rate_perfect, rate_estimated, delta).  Both sides run at a
-    tolerance of at most 1e-10 but keep the max_iter cap, and about a fifth
-    of those runs stop at the cap, so delta mixes CSI quality with optimizer
+    Returns (rate_perfect, rate_estimated).  Both sides run at a tolerance
+    of at most 1e-10 but keep the max_iter cap, and about a fifth of those
+    runs stop at the cap, so the gap mixes CSI quality with optimizer
     truncation (ROADMAP.md, "Optimizer runs that converge").  The
     perfect-CSI side also refines the estimated configuration by ascent and
-    keeps the better of the two, so delta >= 0 holds per trial.
+    keeps the better of the two, so rate_estimated <= rate_perfect per trial.
     """
     tol_run = min(tol, 1e-10)
     size = group_subsurfaces(r.L, r.N, len(est.group_estimates))
@@ -161,4 +161,4 @@ def rate_loss(
 
     rate_perfect = math.log2(1.0 + p_tx * obj_perfect / noise)
     rate_estimated = math.log2(1.0 + p_tx * obj_est / noise)
-    return rate_perfect, rate_estimated, rate_perfect - rate_estimated
+    return rate_perfect, rate_estimated

@@ -68,14 +68,14 @@ def write_csv(path, columns, rows, seed: int, config_digest: str) -> None:
         raise OSError(f"cannot write results to {path!r}: {exc}") from exc
 
 
-def _mean_ci(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and 95% normal-approximation confidence halfwidth."""
-    values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    if values.size < 2:
+def _rate_at(sc: Scenario, cfg: SimConfig, center: Point3, *stream_keys) -> tuple[float, float]:
+    """Mean achievable rate over ``sc.trials`` trials at ``center`` on the
+    sub-stream ``stream_keys``, and its 95% normal-approximation halfwidth."""
+    _, rates = collect_metrics(sc, center, sc.trials, substream(sc.seed, *stream_keys), cfg.bf)
+    mean = float(rates.mean())
+    if rates.size < 2:
         return mean, 0.0
-    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
-    return mean, half
+    return mean, 1.96 * float(rates.std(ddof=1)) / math.sqrt(rates.size)
 
 
 def _optimized_center(sc: Scenario, cfg: SimConfig, stream_keys: tuple) -> Point3:
@@ -117,13 +117,9 @@ def run_rate_vs_uavs(cfg: SimConfig, l_values: list[int]) -> ResultTable:
     scenarios = _sweep_points(l_values, lambda L: replace(cfg.scenario, L=int(L)))
     rows = []
     for sc in scenarios:
-        base_rng = substream(sc.seed, "rate-vs-uavs", "baseline", sc.L)
-        _, base_rates = collect_metrics(sc, sc.baseline_center, sc.trials, base_rng, cfg.bf)
-        base_mean, _ = _mean_ci(base_rates)
+        base_mean, _ = _rate_at(sc, cfg, sc.baseline_center, "rate-vs-uavs", "baseline", sc.L)
         center = _optimized_center(sc, cfg, ("rate-vs-uavs", "search", sc.L))
-        opt_rng = substream(sc.seed, "rate-vs-uavs", "optimized", sc.L)
-        _, opt_rates = collect_metrics(sc, center, sc.trials, opt_rng, cfg.bf)
-        mean, half = _mean_ci(opt_rates)
+        mean, half = _rate_at(sc, cfg, center, "rate-vs-uavs", "optimized", sc.L)
         rows.append((sc.L, mean, base_mean, half))
     return ResultTable(["L", "mean_rate_bps_hz", "baseline_rate_bps_hz", "ci95"], rows)
 
@@ -141,19 +137,9 @@ def run_rate_vs_radius(
     for sc in scenarios:
         r_a, r_u = sc.r_a_m, sc.r_u_m
         center = _optimized_center(sc, cfg, ("rate-vs-radius", "search", r_a, r_u))
-        rng = substream(sc.seed, "rate-vs-radius", "rate", r_a, r_u)
-        _, rates = collect_metrics(sc, center, sc.trials, rng, cfg.bf)
-        mean, half = _mean_ci(rates)
+        mean, half = _rate_at(sc, cfg, center, "rate-vs-radius", "rate", r_a, r_u)
         rows.append((r_a, r_u, mean, half))
     return ResultTable(["r_a_m", "r_u_m", "mean_rate_bps_hz", "ci95"], rows)
-
-
-def _check_pilot_snr(snr_db: float | None) -> float | None:
-    # -inf dB would be infinitely noisy pilots, but the noise model reads it
-    # as noiseless; reject it along with nan
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
-        raise ValueError(f"pilot SNR must be a number, inf or 'data', got {snr_db}")
-    return snr_db
 
 
 def run_estimation_sweep(
@@ -174,7 +160,7 @@ def run_estimation_sweep(
         return int(g)
 
     n_groups_values = _sweep_points(n_groups_values, check_n_groups)
-    pilot_snr_values = _sweep_points(pilot_snr_values, _check_pilot_snr)
+    pilot_snr_values = _sweep_points(pilot_snr_values, lambda snr_db: snr_db)
     rows = []
     for n_groups in n_groups_values:
         for snr_db in pilot_snr_values:
@@ -186,7 +172,7 @@ def run_estimation_sweep(
             for i in range(scenario.trials):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
                 est = estimation.run_estimation(r, n_groups, snr_db, rng, noise_w=scenario.noise_w)
-                rate_p, rate_e, _ = estimation.rate_loss(
+                rate_p, rate_e = estimation.rate_loss(
                     r, est, scenario.p_tx_w, scenario.noise_w, bf.tol, bf.max_iter
                 )
                 mses[i], rates_p[i], rates_e[i] = est.mse, rate_p, rate_e

@@ -138,6 +138,9 @@ class TestAlternatingOptimize:
         assert sol.phases.shape == (6,)
         assert ((sol.phases >= 0) & (sol.phases < TWO_PI)).all()
         assert len(sol.objective_trace) == 1 + 2 * sol.iterations
+        assert sol.objective == sol.objective_trace[-1]
+        # perfbench's tracer reads the trace and the iteration count by position
+        assert sol[3] is sol.objective_trace and sol[4] == sol.iterations
 
     def test_scalar_bs_reaches_alignment_optimum(self, rng):
         # for M = 1 phase alignment is globally optimal in one iteration

@@ -177,6 +177,25 @@ class TestDrawLink:
         freq = np.mean([s is LinkState.LOS for s in states])
         assert freq == pytest.approx(p, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "env, kinds",
+        [(ALWAYS_LOS, {LinkState.LOS}), (ALWAYS_NLOS, {LinkState.NLOS}), (DENSE, set(LinkState))],
+        ids=["all-los", "all-nlos", "mixed"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_equals_one_link_draws(self, seed, env, kinds):
+        # one stacked call draws and assembles each link as a one-link call
+        # on the same generator would, whatever mix of states it holds
+        gen = np.random.default_rng(seed)
+        pairs = [(self.BS, Point3(*gen.uniform(-300, 300, 2), gen.uniform(5, 300))) for _ in range(16)]
+        stack_rng, link_rng = substream(seed, "stack"), substream(seed, "stack")
+        stack, states, gains, dists = _draw_links(pairs, 4, 3, env, stack_rng)
+        links = [_draw_links([pair], 4, 3, env, link_rng) for pair in pairs]
+        assert set(states) == kinds
+        assert stack.tobytes() == np.concatenate([link[0] for link in links]).tobytes()
+        assert (states, gains, dists) == tuple([link[k][0] for link in links] for k in (1, 2, 3))
+        assert stack_rng.bit_generator.state == link_rng.bit_generator.state
+
     def test_gain_capped_at_unity(self):
         _, _, gain, _ = draw_one_link(Point3(0, 0, 0), Point3(0, 0, 1e-4), 1, 1, DENSE, substream(1, "e"))
         assert gain <= 1.0

@@ -107,6 +107,7 @@ class TestApplySettings:
         for key, raw in [
             ("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
             ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
+            ("est.pilot_snr_db", "nan"), ("est.pilot_snr_db", "-inf"),
         ]:
             with pytest.raises(config.ConfigError, match=key):
                 config.apply_settings({key: raw})
@@ -182,9 +183,9 @@ class TestKeyTable:
         cfg = config.apply_settings(NON_DEFAULT)
         changed = {path for path, value in _fields(cfg) if value != default[path]}
         unchanged = set(default) - changed
-        # one field per key; only the BS position has no key
+        # one field per key, and every field has one
         assert len(changed) == len(NON_DEFAULT) == len(config.to_items(cfg))
-        assert all(path.startswith("scenario.bs.") for path in unchanged)
+        assert unchanged == set()
         assert dict(config.to_items(cfg)) == NON_DEFAULT
 
     def test_listing_reapplies_to_itself(self):

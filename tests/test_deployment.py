@@ -78,8 +78,13 @@ class TestEvaluatePosition:
         v = evaluate_position(sc, Point3(100, 0, 80), 10, substream(3, "r"), objective="rate")
         assert v >= 0.0
 
-    def test_unknown_objective(self):
-        with pytest.raises(ValueError):
+    def test_unknown_objective(self, monkeypatch):
+        # rejected before any trial runs
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before the objective was checked")
+
+        monkeypatch.setattr(deployment, "collect_metrics", no_trials)
+        with pytest.raises(ValueError, match="unknown objective"):
             evaluate_position(small_scenario(), Point3(100, 0, 80), 5, substream(1), objective="p99")
 
     def test_collect_metrics_shapes(self):

@@ -236,14 +236,14 @@ class TestCli:
 
     BAD_SWEEPS = [  # (CLI arguments, what stderr says)
         (("estimate", "--n-groups", "2,3", "--pilot-snr-db", "inf"), "config error"),
-        (("estimate", "--n-groups", "2", "--pilot-snr-db", "inf,nan"), "config error"),
+        (("estimate", "--n-groups", "2", "--pilot-snr-db", "inf,nan"), "usage"),
         (("rate-vs-uavs", "--l-values", "1,0"), "config error"),
         (("rate-vs-uavs", "--l-values", ""), "config error"),
         (("rate-vs-radius", "--ra-values", "5,-1"), "config error"),
         (("rate-vs-uavs", "--l-values", "1,x"), "usage"),
         (("rate-vs-radius", "--ra-values", "5,y"), "usage"),
         (("estimate", "--pilot-snr-db", "abc"), "usage"),
-        (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "config error"),
+        (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "usage"),
         (("estimate", "--n-groups="), "config error"),
     ]
 
