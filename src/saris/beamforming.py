@@ -68,18 +68,10 @@ def mrt(h: np.ndarray) -> np.ndarray:
 
 
 def _align_phasors(t: np.ndarray, ref_phasor: complex) -> np.ndarray:
-    """exp(1j*theta) for the aligning phases, without trig round trips.
-
-    Equals ref_phasor * conj(t)/|t| entrywise; zero contributions map to the
-    phasor 1 (phase-0 tie-break).
-    """
+    """exp(1j*theta) for the aligning phases: ref_phasor * conj(t)/|t|
+    entrywise, with zero contributions mapped to the phasor 1 (phase-0
+    tie-break)."""
     mag = np.abs(t)
-    if mag.size and mag.min() > 0:
-        phasor = np.conj(t)
-        if ref_phasor != 1.0:
-            phasor *= ref_phasor
-        phasor /= mag
-        return phasor
     return np.divide(np.conj(t) * ref_phasor, mag, out=np.ones_like(t), where=mag > 0)
 
 
@@ -93,49 +85,80 @@ def optimize_rows(
     """Alternating ascent on a generic contribution-row decomposition.
 
     rows is (K, M): the effective row channel for phases theta is
-    sum_k exp(1j*theta_k) rows[k] (+ direct_row), and the solution's phases
-    are those K thetas.  The default initialization is all-zero phases
+    e = sum_k exp(1j*theta_k) rows[k] (+ direct_row), and the solution's
+    phases are those K thetas.  The default initialization is all-zero phases
     followed by MRT; init_w skips that and starts the first alignment from
     the given precoder (used for warm restarts).
+
+    The loop carries the MRT precoder unnormalized, w = conj(e), so the
+    objective |e @ w/||w|| |^2 is ||w||^2; alignment reads only the phases
+    of rows @ w, and w is normalized once, on return.  The trace holds the
+    starting objective, then per iteration the objective after the phase
+    half-step, |e_new @ w_old|^2 / ||w_old||^2 = (sum_k |rows[k] @ w_old|
+    + |direct_row @ w_old|)^2 / ||w_old||^2, and after the MRT half-step,
+    ||w_new||^2.  A given init_w counts as unit-norm.
     """
     if not (tol > 0):
         raise ValueError("tolerance must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     rows = np.asarray(rows, dtype=complex)
+    rows_c = np.conj(rows)
+    direct_c = None if direct_row is None else np.conj(direct_row)
 
-    e = rows.sum(axis=0)
-    if direct_row is not None:
-        e = e + direct_row
     if init_w is None:
-        if not np.vdot(e, e).real > 0:
+        w = rows_c.sum(axis=0)
+        if direct_c is not None:
+            w = w + direct_c
+        obj = float(np.vdot(w, w).real)
+        if not obj > 0:
             raise ValueError("effective channel is identically zero")
-        w = mrt(np.conj(e))
+        norm2 = obj
     else:
         w = np.asarray(init_w, dtype=complex)
-    obj = float(abs(e @ w) ** 2)
-    trace = [obj]
-
-    for iterations in range(1, max_iter + 1):
-        t = rows @ w
-        if direct_row is not None:
-            d_scal = complex(direct_row @ w)
-            ref_phasor = d_scal / abs(d_scal) if d_scal != 0 else 1.0
-        else:
-            ref_phasor = 1.0
-        phasor = _align_phasors(t, ref_phasor)
-        e = phasor @ rows
+        e = rows.sum(axis=0)
         if direct_row is not None:
             e = e + direct_row
-        trace.append(float(abs(e @ w) ** 2))  # after the phase half-step
-        w = mrt(np.conj(e))
-        new_obj = float(abs(e @ w) ** 2)
-        trace.append(new_obj)  # after the MRT half-step
-        if new_obj - obj <= tol * obj:
-            break
-        obj = new_obj
-    theta = np.mod(np.angle(phasor), TWO_PI)
-    return BeamformingSolution(w, theta, new_obj, trace, iterations)
+        obj = float(abs(e @ w) ** 2)
+        norm2 = 1.0
+    trace = [obj]
+
+    # A zero contribution makes 0/0 below; that iteration is redone.
+    with np.errstate(invalid="ignore"):
+        for iterations in range(1, max_iter + 1):
+            t = rows @ w
+            mag = np.abs(t)
+            gain = float(mag.sum())
+            ref_phasor = 1.0
+            if direct_row is not None:
+                d_scal = complex(direct_row @ w)
+                d_mag = abs(d_scal)
+                gain += d_mag
+                if d_mag > 0:
+                    ref_phasor = d_scal / d_mag
+                    t *= ref_phasor.conjugate()
+            t /= mag  # conj(phasor): the aligned row weights for conj(e)
+            w_new = t @ rows_c
+            if direct_c is not None:
+                w_new += direct_c
+            new_obj = float(np.vdot(w_new, w_new).real)
+            if not new_obj > 0:
+                if (mag == 0).any():
+                    t = np.conj(_align_phasors(rows @ w, ref_phasor))
+                    w_new = t @ rows_c
+                    if direct_c is not None:
+                        w_new += direct_c
+                    new_obj = float(np.vdot(w_new, w_new).real)
+                if new_obj == 0:
+                    raise ValueError("MRT is undefined for a zero channel vector")
+            trace.append(gain * gain / norm2)  # after the phase half-step
+            trace.append(new_obj)  # after the MRT half-step
+            w = w_new
+            if new_obj - obj <= tol * obj:
+                break
+            obj = norm2 = new_obj
+    theta = np.mod(np.angle(np.conj(t)), TWO_PI)
+    return BeamformingSolution(w / math.sqrt(new_obj), theta, new_obj, trace, iterations)
 
 
 def alternating_optimize(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from saris.channel import ChannelRealization, EnvParams, LinkState, _draw_links
+from saris.geometry import distance
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
@@ -21,8 +22,8 @@ ALWAYS_LOS = EnvParams(a=1e-300, b=1.0, eta_los_db=1.6, eta_nlos_db=23.0)
 def draw_one_link(tx, rx, tx_n, rx_n, env, rng):
     """One link through the study's drawing path: its (rx_n, tx_n) matrix,
     state, large-scale gain and distance."""
-    matrices, states, gains, dists = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
-    return matrices[0], states[0], gains[0], dists[0]
+    matrices, states, gains = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
+    return matrices[0], states[0], gains[0], distance(tx, rx)
 
 
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:

@@ -10,6 +10,7 @@ from saris.beamforming import (
     _align_phasors,
     alternating_optimize,
     mrt,
+    optimize_rows,
     quantize_phases,
 )
 from saris.channel import cascade_rows, effective_channel
@@ -215,6 +216,105 @@ class TestAlternatingOptimize:
             alternating_optimize(r, tol=0.0)
         with pytest.raises(ValueError):
             alternating_optimize(r, max_iter=0)
+
+
+def reference_optimize_rows(rows, direct_row, tol=1e-6, max_iter=100, init_w=None):
+    """The ascent loop optimize_rows replaced, as the reference: w
+    renormalized by MRT every iteration and both half-step objectives taken
+    as |e @ w|^2.  Returns (w, phases, objective, trace, iterations)."""
+
+    def unit(h):
+        norm = math.sqrt(np.vdot(h, h).real)
+        if norm == 0:
+            raise ValueError("MRT is undefined for a zero channel vector")
+        return h / norm
+
+    rows = np.asarray(rows, dtype=complex)
+    e = rows.sum(axis=0)
+    if direct_row is not None:
+        e = e + direct_row
+    if init_w is None:
+        if not np.vdot(e, e).real > 0:
+            raise ValueError("effective channel is identically zero")
+        w = unit(np.conj(e))
+    else:
+        w = np.asarray(init_w, dtype=complex)
+    obj = float(abs(e @ w) ** 2)
+    trace = [obj]
+    for iterations in range(1, max_iter + 1):
+        t = rows @ w
+        ref_phasor = 1.0
+        if direct_row is not None:
+            d_scal = complex(direct_row @ w)
+            ref_phasor = d_scal / abs(d_scal) if d_scal != 0 else 1.0
+        mag = np.abs(t)
+        phasor = np.divide(np.conj(t) * ref_phasor, mag, out=np.ones_like(t), where=mag > 0)
+        e = phasor @ rows
+        if direct_row is not None:
+            e = e + direct_row
+        trace.append(float(abs(e @ w) ** 2))
+        w = unit(np.conj(e))
+        new_obj = float(abs(e @ w) ** 2)
+        trace.append(new_obj)
+        if new_obj - obj <= tol * obj:
+            break
+        obj = new_obj
+    return w, np.mod(np.angle(phasor), TWO_PI), new_obj, trace, iterations
+
+
+class TestOptimizeRowsMatchesReference:
+    """The unnormalized-precoder loop against the reference loop: the same
+    iterations, and w, objective and trace equal to 1e-12 relative."""
+
+    def assert_matches(self, rows, direct_row, tol, init_w=None):
+        w, phases, objective, trace, iterations = reference_optimize_rows(
+            rows, direct_row, tol, 100, init_w
+        )
+        sol = optimize_rows(rows, direct_row, tol, 100, init_w)
+        assert sol.iterations == iterations
+        np.testing.assert_allclose(sol.w, w, rtol=0, atol=1e-12)  # both unit-norm
+        assert sol.objective == pytest.approx(objective, rel=1e-12)
+        np.testing.assert_allclose(sol.objective_trace, trace, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.exp(1j * sol.phases), np.exp(1j * phases), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("direct", [False, True], ids=["cascade-only", "direct-row"])
+    def test_random_rows(self, rng, tol, direct):
+        for K in (1, 2, 3, 5, 20, 40, 200, 400):
+            for M in (1, 4, 16):
+                scale = 10.0 ** rng.uniform(-6, 0)
+                rows = scale * (rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M)))
+                direct_row = scale * (rng.standard_normal(M) + 1j * rng.standard_normal(M)) if direct else None
+                self.assert_matches(rows, direct_row, tol)
+                # warm restart from an arbitrary unit precoder
+                self.assert_matches(rows, direct_row, tol, mrt(rng.standard_normal(M) + 1j * rng.standard_normal(M)))
+
+    def test_zero_row_keeps_phase_zero(self, rng):
+        rows = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        rows[2] = 0.0
+        for direct_row in (None, rng.standard_normal(3) + 1j * rng.standard_normal(3)):
+            self.assert_matches(rows, direct_row, 1e-10)
+            assert optimize_rows(rows, direct_row).phases[2] == 0.0
+
+    def test_restart_orthogonal_to_a_row(self):
+        # w = e_0 leaves row 1 with no contribution in the first alignment
+        rows = np.array([[1.0, 0.0], [0.0, 1.0j]])
+        self.assert_matches(rows, None, 1e-10, np.array([1.0 + 0j, 0.0]))
+
+    def test_zero_channel_error_unchanged(self):
+        rows = np.zeros((3, 2), dtype=complex)
+        with pytest.raises(ValueError, match="effective channel is identically zero"):
+            optimize_rows(rows, None)
+        for direct_row in (None, np.zeros(2, dtype=complex)):
+            for run in (reference_optimize_rows, optimize_rows):
+                with pytest.raises(ValueError, match="MRT is undefined for a zero channel vector"):
+                    run(rows, direct_row, init_w=np.array([1.0 + 0j, 0.0]))
+
+    def test_nan_rows_give_nan_objective(self):
+        rows = np.array([[1.0, math.nan], [0.5j, 2.0]])
+        sol = optimize_rows(rows, None, init_w=np.array([1.0 + 0j, 0.0]))
+        assert math.isnan(sol.objective)
+        assert math.isnan(reference_optimize_rows(rows, None, init_w=np.array([1.0 + 0j, 0.0]))[2])
 
 
 class TestQuantizePhases:

@@ -164,7 +164,7 @@ class TestDrawLink:
         assert np.linalg.matrix_rank(m) == 1
 
     def test_forced_nlos_power_matches_gain(self):
-        matrices, states, gains, _ = _draw_links(
+        matrices, states, gains = _draw_links(
             [(self.BS, self.UAV)] * 20_000, 1, 1, ALWAYS_NLOS, substream(1, "c")
         )
         assert set(states) == {LinkState.NLOS}
@@ -173,7 +173,7 @@ class TestDrawLink:
     def test_state_frequency_tracks_los_probability(self):
         uav = Point3(100, 0, 100)  # elevation 45 deg
         p = los_probability(45.0, DENSE)
-        _, states, _, _ = _draw_links([(self.BS, uav)] * 20_000, 1, 1, DENSE, substream(1, "d"))
+        _, states, _ = _draw_links([(self.BS, uav)] * 20_000, 1, 1, DENSE, substream(1, "d"))
         freq = np.mean([s is LinkState.LOS for s in states])
         assert freq == pytest.approx(p, abs=0.01)
 
@@ -189,11 +189,11 @@ class TestDrawLink:
         gen = np.random.default_rng(seed)
         pairs = [(self.BS, Point3(*gen.uniform(-300, 300, 2), gen.uniform(5, 300))) for _ in range(16)]
         stack_rng, link_rng = substream(seed, "stack"), substream(seed, "stack")
-        stack, states, gains, dists = _draw_links(pairs, 4, 3, env, stack_rng)
+        stack, states, gains = _draw_links(pairs, 4, 3, env, stack_rng)
         links = [_draw_links([pair], 4, 3, env, link_rng) for pair in pairs]
         assert set(states) == kinds
         assert stack.tobytes() == np.concatenate([link[0] for link in links]).tobytes()
-        assert (states, gains, dists) == tuple([link[k][0] for link in links] for k in (1, 2, 3))
+        assert (states, gains) == tuple([link[k][0] for link in links] for k in (1, 2))
         assert stack_rng.bit_generator.state == link_rng.bit_generator.state
 
     def test_gain_capped_at_unity(self):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_realization, random_realization
+from saris import beamforming
 from saris.channel import effective_channel
+from saris.deployment import Scenario, _draw_trial
 from saris.estimation import (
     coefficient_count,
     group_aggregate_channels,
@@ -138,7 +140,7 @@ class TestRunEstimation:
         assert rel < 1e-12
         np.testing.assert_allclose(est.direct_estimate, truth_direct, atol=1e-12)
         assert est.mse < 1e-24
-        assert est.overhead_symbols == n_groups + 1
+        assert len(est.group_estimates) + 1 == n_groups + 1  # N' + 1 pilot symbols
 
     def test_two_equation_solve_matches_hand_computation(self):
         # N' = 1, M = 1 scalar system: y0 = d + b, y1 = d - b
@@ -213,3 +215,24 @@ class TestRateLoss:
                 deltas[n_groups].append(rate_p - rate_e)
         means = [np.mean(deltas[n]) for n in (1, 2, 4, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
+
+    def test_rounding_tie_runs_no_refine(self, monkeypatch):
+        # At N' = L*N with noiseless pilots the estimated problem is the
+        # perfect one up to FFT rounding, so the two objectives tie in the
+        # last bits; a tie must not start the warm-restart ascent.
+        restarts = []
+        optimize_rows = beamforming.optimize_rows
+
+        def counting(rows, direct_row, tol=1e-6, max_iter=100, init_w=None):
+            restarts.append(init_w is not None)
+            return optimize_rows(rows, direct_row, tol, max_iter, init_w)
+
+        monkeypatch.setattr(beamforming, "optimize_rows", counting)
+        scenario = Scenario()
+        rng = substream(11, "tie")
+        for _ in range(20):
+            r = _draw_trial(scenario, scenario.baseline_center, rng)
+            est = run_estimation(r, scenario.L * scenario.N, math.inf, rng)
+            rate_p, rate_e = rate_loss(r, est, scenario.p_tx_w, scenario.noise_w)
+            assert rate_e <= rate_p
+        assert len(restarts) == 40 and not any(restarts)
