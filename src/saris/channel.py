@@ -203,16 +203,16 @@ def _draw_links(
     tx_n: int,
     env: EnvParams,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, list[LinkState], list[float]]:
+) -> tuple[np.ndarray, list[LinkState]]:
     """Draw air-to-ground links with equal element counts, in order.
 
     Returns the stacked matrices (len(pairs), rx_n, tx_n) and the per-link
-    states and linear gains.  The per-link scalars (geometry, the
-    state draw, path loss, steering angles) are computed in ``math``: numpy's
-    SIMD transcendentals differ from libm in the last bit.  The matrices are
-    then built for all links at once.  Generator use per link: one uniform
-    for the state (whatever the LoS probability), then, for an NLoS link,
-    its fading normals.
+    states.  The per-link scalars (geometry, the state draw, path loss,
+    steering angles) are computed in ``math``: numpy's SIMD transcendentals
+    differ from libm in the last bit.  The matrices are then built for all
+    links at once.  Generator use per link: one uniform for the state
+    (whatever the LoS probability), then, for an NLoS link, its fading
+    normals.
     """
     states: list[LinkState] = []
     gains: list[float] = []
@@ -252,7 +252,7 @@ def _draw_links(
         # Rank-1 LoS structure: outer product of the unit-modulus responses.
         responses = _phasors(np.array(steps_rx + steps_tx), max(rx_n, tx_n))
         matrices[los_rows] = responses[:n_los, :rx_n, None] * np.conj(responses[n_los:, None, :tx_n])
-    return np.sqrt(gains)[:, None, None] * matrices, states, gains
+    return np.sqrt(gains)[:, None, None] * matrices, states
 
 
 def realize_channels(
@@ -282,8 +282,8 @@ def realize_channels(
     if direct_link_mode not in ("blocked", "terrestrial_nlos"):
         raise ValueError(f"unknown direct_link_mode: {direct_link_mode!r}")
 
-    G, states, _ = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
-    h, h_states, _ = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
+    G, states = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
+    h, h_states = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
     direct = None
     if direct_link_mode == "terrestrial_nlos":
         # Ground-to-ground NLoS path: log-distance loss, i.i.d. complex Gaussian.

@@ -98,36 +98,31 @@ class Grid2D:
             raise ValueError("grid steps must be > 0")
         if not (self.z_min > 0):
             raise ValueError("swarm altitude grid must start above ground")
-        nx = (self.x_max - self.x_min) / self.x_step + 1
-        nz = (self.z_max - self.z_min) / self.z_step + 1
+        nx = _axis_count(self.x_min, self.x_max, self.x_step)
+        nz = _axis_count(self.z_min, self.z_max, self.z_step)
         if not nx * nz <= MAX_GRID_CELLS:
-            raise ValueError(f"grid has {nx * nz:.3g} cells, more than {MAX_GRID_CELLS}")
+            raise ValueError(f"grid has {nx * nz:.7g} cells, more than {MAX_GRID_CELLS}")
 
     @property
     def x_values(self) -> np.ndarray:
-        n = int(math.floor((self.x_max - self.x_min) / self.x_step + 1e-9)) + 1
+        n = int(_axis_count(self.x_min, self.x_max, self.x_step))
         return self.x_min + self.x_step * np.arange(n)
 
     @property
     def z_values(self) -> np.ndarray:
-        n = int(math.floor((self.z_max - self.z_min) / self.z_step + 1e-9)) + 1
+        n = int(_axis_count(self.z_min, self.z_max, self.z_step))
         return self.z_min + self.z_step * np.arange(n)
+
+
+def _axis_count(lo: float, hi: float, step: float) -> float:
+    """Count of the values lo + k*step <= hi (1e-9 steps of slack), as a float for the cap."""
+    return float(np.floor((hi - lo) / step + 1e-9)) + 1.0
 
 
 @dataclass
 class GainMap:
-    grid: Grid2D
     mean_gain_db: np.ndarray  # (len(x_values), len(z_values))
     best: tuple[float, float, float]  # (x*, z*, gain*)
-
-    def is_interior(self) -> bool:
-        xs, zs = self.grid.x_values, self.grid.z_values
-        x_star, z_star, _ = self.best
-        return (xs[0] < x_star < xs[-1]) and (zs[0] < z_star < zs[-1])
-
-    def boundary_max(self) -> float:
-        m = self.mean_gain_db
-        return float(max(m[0, :].max(), m[-1, :].max(), m[:, 0].max(), m[:, -1].max()))
 
 
 def _draw_trial(scenario: Scenario, center: Point3, rng: np.random.Generator) -> ChannelRealization:
@@ -231,4 +226,4 @@ def grid_search(
             values[ix, iz] = v
     ix, iz = np.unravel_index(np.argmax(values), values.shape)
     best = (float(xs[ix]), float(zs[iz]), float(values[ix, iz]))
-    return GainMap(grid=grid, mean_gain_db=values, best=best)
+    return GainMap(mean_gain_db=values, best=best)

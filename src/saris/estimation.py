@@ -19,7 +19,6 @@ from .channel import ChannelRealization, cascade_rows, effective_channel
 
 __all__ = [
     "EstimationResult",
-    "coefficient_count",
     "group_subsurfaces",
     "pilot_patterns",
     "group_aggregate_channels",
@@ -33,13 +32,6 @@ class EstimationResult:
     direct_estimate: np.ndarray
     group_estimates: np.ndarray  # (N', M)
     mse: float
-
-
-def coefficient_count(M: int, N: int, L: int, K: int) -> int:
-    """Number of channel coefficients to estimate for K single-antenna users."""
-    if min(M, N, L, K) < 1:
-        raise ValueError("all counts must be >= 1")
-    return K * M * N * L + K * M
 
 
 def group_subsurfaces(L: int, N: int, n_groups: int) -> int:

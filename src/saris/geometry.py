@@ -2,8 +2,7 @@
 
 Swarms and ground users are placed as fixed-count clusters of daughter points
 drawn uniformly in a horizontal disk around a deterministic parent (the swarm
-center or the user-region center).  All angles cross API boundaries in
-degrees; radians are used internally.
+center or the user-region center).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "Point3",
     "DiskRegion",
     "distance",
-    "elevation_angle_deg",
     "sample_uniform_disk",
     "sample_cluster",
 ]
@@ -53,18 +51,6 @@ class DiskRegion:
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
-def elevation_angle_deg(ground: Point3, aerial: Point3) -> float:
-    """Elevation of ``aerial`` seen from ``ground``, in (0, 90].
-
-    Returns 90 when the aerial node is directly overhead.  Raises if the
-    aerial node is not strictly above the ground node.
-    """
-    dz = aerial.z - ground.z
-    if dz <= 0:
-        raise ValueError("aerial node must be strictly above the ground node")
-    return math.degrees(math.atan2(dz, math.hypot(ground.x - aerial.x, ground.y - aerial.y)))
 
 
 def sample_uniform_disk(region: DiskRegion, rng: np.random.Generator) -> Point3:

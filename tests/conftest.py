@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from saris.channel import ChannelRealization, EnvParams, LinkState, _draw_links
-from saris.geometry import distance
+from saris.channel import (
+    ChannelRealization,
+    EnvParams,
+    LinkState,
+    _draw_links,
+    db_to_linear,
+    path_loss_db,
+)
+from saris.deployment import Scenario, _draw_trial
+from saris.geometry import Point3, distance
+from saris.streams import substream
 
 settings.register_profile(
     "suite", deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
@@ -21,9 +32,46 @@ ALWAYS_LOS = EnvParams(a=1e-300, b=1.0, eta_los_db=1.6, eta_nlos_db=23.0)
 
 def draw_one_link(tx, rx, tx_n, rx_n, env, rng):
     """One link through the study's drawing path: its (rx_n, tx_n) matrix,
-    state, large-scale gain and distance."""
-    matrices, states, gains = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
-    return matrices[0], states[0], gains[0], distance(tx, rx)
+    state, large-scale gain and distance.  The gain is the public path-loss
+    formula at the drawn state, capped at unity as the drawing path caps it."""
+    matrices, states = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
+    d = distance(tx, rx)
+    return matrices[0], states[0], min(1.0, db_to_linear(-path_loss_db(d, states[0], env))), d
+
+
+def elevation_angle_deg(ground: Point3, aerial: Point3) -> float:
+    """Elevation of ``aerial`` seen from ``ground``, in (0, 90].
+
+    Returns 90 when the aerial node is directly overhead.  Raises if the
+    aerial node is not strictly above the ground node.
+    """
+    dz = aerial.z - ground.z
+    if dz <= 0:
+        raise ValueError("aerial node must be strictly above the ground node")
+    return math.degrees(math.atan2(dz, math.hypot(ground.x - aerial.x, ground.y - aerial.y)))
+
+
+def coefficient_counts(users, **scenario):
+    """Channel coefficients to estimate for each of ``users`` users, read off
+    their realizations under a terrestrial direct link: the cascade rows'
+    entries plus the direct row's."""
+    sc = Scenario(direct_link_mode="terrestrial_nlos", **scenario)
+    rng = substream(5, "coefficients")
+    trials = (_draw_trial(sc, sc.baseline_center, rng) for _ in range(users))
+    return [r.rows.size + r.direct_row.size for r in trials]
+
+
+def is_interior(gm, grid) -> bool:
+    """Whether a grid search's argmax lies strictly inside its grid."""
+    xs, zs = grid.x_values, grid.z_values
+    x_star, z_star, _ = gm.best
+    return (xs[0] < x_star < xs[-1]) and (zs[0] < z_star < zs[-1])
+
+
+def boundary_max(gm) -> float:
+    """Largest score on the outer rows and columns of a grid search's map."""
+    m = gm.mean_gain_db
+    return float(max(m[0, :].max(), m[-1, :].max(), m[:, 0].max(), m[:, -1].max()))
 
 
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import boundary_max, is_interior
 from saris import deployment
 from saris.deployment import Grid2D, Scenario, collect_metrics, evaluate_position, grid_search
 from saris.geometry import Point3
@@ -44,11 +45,18 @@ class TestGrid2D:
             dict(z_min=100, z_max=50),
             dict(x_step=0),
             dict(z_min=0),
+            dict(x_min=0, x_max=999, x_step=1, z_min=1, z_max=1001, z_step=1),  # 1000 x 1001 cells
+            dict(x_max=1e10, x_step=1e-300),  # more axis values than a float holds
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             Grid2D(**kw)
+
+    def test_cell_cap_counts_the_axes(self):
+        # 999.9 m and 999.5 m spans hold 1000 values each: exactly the cap
+        g = Grid2D(x_min=0, x_max=999.9, x_step=1, z_min=1, z_max=1000.5, z_step=1)
+        assert len(g.x_values) * len(g.z_values) == deployment.MAX_GRID_CELLS == 1_000_000
 
 
 class TestEvaluatePosition:
@@ -113,7 +121,7 @@ class TestGridSearch:
         monkeypatch.setattr(deployment, "evaluate_position", synthetic)
         gm = grid_search(sc, grid, 1, master_seed=1)
         assert gm.best[:2] == (100.0, 150.0)
-        assert gm.is_interior()
+        assert is_interior(gm, grid)
 
     def test_tie_breaks_to_smallest_x_then_z(self, monkeypatch):
         sc = small_scenario()
@@ -153,8 +161,8 @@ class TestGridSearch:
 
         monkeypatch.setattr(deployment, "evaluate_position", from_table)
         gm = grid_search(small_scenario(), grid, 1, master_seed=1)
-        assert gm.is_interior()
-        assert gm.boundary_max() == 0.0
+        assert is_interior(gm, grid)
+        assert boundary_max(gm) == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_cell_raises_naming_it(self, bad, monkeypatch):

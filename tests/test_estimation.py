@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_realization, random_realization
+from conftest import coefficient_counts, make_realization, random_realization
 from saris import beamforming
 from saris.channel import effective_channel
 from saris.deployment import Scenario, _draw_trial
 from saris.estimation import (
-    coefficient_count,
     group_aggregate_channels,
     group_subsurfaces,
     pilot_patterns,
@@ -20,17 +19,13 @@ from saris.streams import substream
 
 class TestCoefficientCount:
     def test_single_user_paper_setup(self):
-        assert coefficient_count(16, 20, 10, 1) == 3216
+        assert coefficient_counts(1) == [3216]
 
     def test_four_users(self):
-        assert coefficient_count(16, 20, 10, 4) == 12864
+        assert sum(coefficient_counts(4)) == 12864
 
     def test_reduces_to_two_m(self):
-        assert coefficient_count(7, 1, 1, 1) == 14
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            coefficient_count(0, 1, 1, 1)
+        assert coefficient_counts(1, M=7, N=1, L=1) == [14]
 
 
 class TestGrouping:

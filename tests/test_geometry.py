@@ -6,14 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from saris.geometry import (
-    DiskRegion,
-    Point3,
-    distance,
-    elevation_angle_deg,
-    sample_cluster,
-    sample_uniform_disk,
-)
+from conftest import elevation_angle_deg
+from saris.geometry import DiskRegion, Point3, distance, sample_cluster, sample_uniform_disk
 from saris.streams import substream
 
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -54,6 +48,8 @@ class TestDistance:
 
 
 class TestElevation:
+    """The test reference for the elevation that the link draw computes inline."""
+
     def test_forty_five(self):
         assert elevation_angle_deg(Point3(0, 0, 0), Point3(100, 0, 100)) == pytest.approx(45.0)
 

@@ -1,7 +1,9 @@
 """Imports inside the package run one way, from the base layers up to the CLI.
 
 A module may import only modules of an earlier layer, so no import cycle can
-form and each layer can be read and tested without the ones above it.
+form and each layer can be read and tested without the ones above it.  And
+every public name the package defines is read by the program itself, so code
+that only tests call lives in ``tests/``.
 """
 
 import ast
@@ -13,6 +15,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saris"
+# The program: the package and the benchmark that drives it.
+PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 LAYERS = [
     {"geometry", "streams"},
@@ -66,3 +70,48 @@ def test_importing_a_layer_loads_no_later_layer(module):
     ).stdout.split()
     later = [name for name in loaded if RANK[name.removeprefix("saris.")] > RANK[module]]
     assert f"saris.{module}" in loaded and later == []
+
+
+def public_definitions(path: Path) -> list[str]:
+    """Public module-level functions and classes, and ``Class.method`` for
+    the public methods and properties of those classes."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return found
+
+
+def names_read(path: Path) -> tuple[set[str], set[str]]:
+    """Identifiers loaded as a bare name, and those loaded as an attribute;
+    strings (such as ``__all__`` entries or the tracer's name lists) are not
+    reads."""
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_public_name_is_read_by_the_program():
+    # A method counts as read when an attribute of its name is loaded
+    # anywhere (the receiver's class is not resolved); a module-level
+    # function or class when its name is loaded either way.
+    reads = [names_read(path) for path in PROGRAM]
+    attrs = set().union(*(a for _, a in reads))
+    read = attrs.union(*(n for n, _ in reads))
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in public_definitions(path)
+        if ("." in name and name.rsplit(".", 1)[1] not in attrs) or ("." not in name and name not in read)
+    ]
+    assert unread == []
