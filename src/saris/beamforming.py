@@ -21,7 +21,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "BfOptions",
     "BeamformingSolution",
-    "mrt",
     "alternating_optimize",
     "optimize_rows",
     "quantize_phases",
@@ -58,23 +57,6 @@ class BeamformingSolution(NamedTuple):
     iterations: int
 
 
-def mrt(h: np.ndarray) -> np.ndarray:
-    """Maximum-ratio transmission vector h/||h||; |h^H mrt(h)| = ||h||."""
-    h = np.asarray(h, dtype=complex)
-    norm = math.sqrt(np.vdot(h, h).real)
-    if norm == 0:
-        raise ValueError("MRT is undefined for a zero channel vector")
-    return h / norm
-
-
-def _align_phasors(t: np.ndarray, ref_phasor: complex) -> np.ndarray:
-    """exp(1j*theta) for the aligning phases: ref_phasor * conj(t)/|t|
-    entrywise, with zero contributions mapped to the phasor 1 (phase-0
-    tie-break)."""
-    mag = np.abs(t)
-    return np.divide(np.conj(t) * ref_phasor, mag, out=np.ones_like(t), where=mag > 0)
-
-
 def optimize_rows(
     rows: np.ndarray,
     direct_row: np.ndarray | None,
@@ -86,9 +68,12 @@ def optimize_rows(
 
     rows is (K, M): the effective row channel for phases theta is
     e = sum_k exp(1j*theta_k) rows[k] (+ direct_row), and the solution's
-    phases are those K thetas.  The default initialization is all-zero phases
-    followed by MRT; init_w skips that and starts the first alignment from
-    the given precoder (used for warm restarts).
+    phases are those K thetas.  One sum, e0 = sum_k rows[k] (+ direct_row),
+    feeds both starts: the default one is all-zero phases followed by MRT,
+    w = conj(e0); init_w skips that MRT and starts the first alignment from
+    the given precoder (used for warm restarts), at objective |e0 @ init_w|^2.
+    A zero contribution keeps phase 0.  A channel that is zero or holds a
+    NaN raises ValueError instead of returning a NaN objective.
 
     The loop carries the MRT precoder unnormalized, w = conj(e), so the
     objective |e @ w/||w|| |^2 is ||w||^2; alignment reads only the phases
@@ -106,19 +91,16 @@ def optimize_rows(
     rows_c = np.conj(rows)
     direct_c = None if direct_row is None else np.conj(direct_row)
 
+    e = rows.sum(axis=0)
+    if direct_row is not None:
+        e = e + direct_row
     if init_w is None:
-        w = rows_c.sum(axis=0)
-        if direct_c is not None:
-            w = w + direct_c
-        obj = float(np.vdot(w, w).real)
+        w = np.conj(e)
+        obj = norm2 = float(np.vdot(w, w).real)
         if not obj > 0:
-            raise ValueError("effective channel is identically zero")
-        norm2 = obj
+            raise ValueError("effective channel is identically zero or not finite")
     else:
         w = np.asarray(init_w, dtype=complex)
-        e = rows.sum(axis=0)
-        if direct_row is not None:
-            e = e + direct_row
         obj = float(abs(e @ w) ** 2)
         norm2 = 1.0
     trace = [obj]
@@ -129,28 +111,25 @@ def optimize_rows(
             t = rows @ w
             mag = np.abs(t)
             gain = float(mag.sum())
-            ref_phasor = 1.0
             if direct_row is not None:
                 d_scal = complex(direct_row @ w)
                 d_mag = abs(d_scal)
                 gain += d_mag
                 if d_mag > 0:
-                    ref_phasor = d_scal / d_mag
-                    t *= ref_phasor.conjugate()
+                    t *= (d_scal / d_mag).conjugate()  # onto the direct path's phase
             t /= mag  # conj(phasor): the aligned row weights for conj(e)
             w_new = t @ rows_c
             if direct_c is not None:
                 w_new += direct_c
             new_obj = float(np.vdot(w_new, w_new).real)
             if not new_obj > 0:
-                if (mag == 0).any():
-                    t = np.conj(_align_phasors(rows @ w, ref_phasor))
-                    w_new = t @ rows_c
-                    if direct_c is not None:
-                        w_new += direct_c
-                    new_obj = float(np.vdot(w_new, w_new).real)
-                if new_obj == 0:
-                    raise ValueError("MRT is undefined for a zero channel vector")
+                t[mag == 0] = 1.0  # phase-0 tie-break for a zero contribution
+                w_new = t @ rows_c
+                if direct_c is not None:
+                    w_new += direct_c
+                new_obj = float(np.vdot(w_new, w_new).real)
+                if not new_obj > 0:
+                    raise ValueError("MRT is undefined for a zero channel vector or a non-finite one")
             trace.append(gain * gain / norm2)  # after the phase half-step
             trace.append(new_obj)  # after the MRT half-step
             w = w_new

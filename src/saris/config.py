@@ -59,9 +59,10 @@ def parse_pilot_snr(raw: str) -> float | None:
     if raw == "data":
         return None
     snr_db = float(raw)
-    # rejects nan, and -inf dB, which the noise model would read as noiseless
-    if not snr_db > -math.inf:
-        raise ValueError(f"pilot SNR must be a number, inf or 'data', got {raw!r}")
+    # rejects nan; -inf dB, which the noise model would read as noiseless; and
+    # SNRs whose noise factor 10^(-snr/10) overflows a double (below -3082.547)
+    if not snr_db >= -3082.5:
+        raise ValueError(f"pilot SNR must be a number of at least -3082.5 dB, inf or 'data', got {raw!r}")
     return snr_db
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import BfOptions, alternating_optimize, mrt, quantize_phases
+from .beamforming import BfOptions, alternating_optimize, quantize_phases
 from .channel import (
     ENV_PRESETS,
     ChannelRealization,
@@ -156,8 +156,9 @@ def simulate_trial(
     if bf.phase_bits > 0:
         theta_q = quantize_phases(sol.phases, bf.phase_bits)
         e = effective_channel(r, theta_q)
-        w = mrt(np.conj(e))
-        obj = abs(e @ w) ** 2
+        obj = float(np.vdot(e, e).real)  # |e @ w|^2 at the MRT precoder
+        if not obj > 0:
+            raise ValueError("MRT is undefined for a zero channel vector or a non-finite one")
     else:
         obj = sol.objective
     rate = math.log2(1.0 + scenario.p_tx_w * obj / scenario.noise_w)

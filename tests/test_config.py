@@ -103,11 +103,12 @@ class TestApplySettings:
 
     def test_invalid_domain_value_is_config_error(self):
         # a 1e-300 m step would ask for about 1e304 grid cells; a 53-bit
-        # codebook is finer than doubles near 2*pi, and 2**1100 overflows one
+        # codebook is finer than doubles near 2*pi, 2**1100 overflows one,
+        # and so does the pilot noise factor 10**400 of a -4000 dB SNR
         for key, raw in [
             ("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
             ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
-            ("est.pilot_snr_db", "nan"), ("est.pilot_snr_db", "-inf"),
+            ("est.pilot_snr_db", "nan"), ("est.pilot_snr_db", "-inf"), ("est.pilot_snr_db", "-4000"),
         ]:
             with pytest.raises(config.ConfigError, match=key):
                 config.apply_settings({key: raw})

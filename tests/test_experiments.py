@@ -245,6 +245,7 @@ class TestCli:
         (("estimate", "--pilot-snr-db", "abc"), "usage"),
         (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "usage"),
         (("estimate", "--n-groups="), "config error"),
+        (("estimate", "--n-groups", "2", "--pilot-snr-db=-4000"), "usage"),
     ]
 
     @pytest.mark.parametrize("args, message", BAD_SWEEPS, ids=[f"args{i}" for i in range(len(BAD_SWEEPS))])

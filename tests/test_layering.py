@@ -2,8 +2,8 @@
 
 A module may import only modules of an earlier layer, so no import cycle can
 form and each layer can be read and tested without the ones above it.  And
-every public name the package defines is read by the program itself, so code
-that only tests call lives in ``tests/``.
+every name the package defines at module level, private helpers included, is
+read by the program itself, so code that only tests call lives in ``tests/``.
 """
 
 import ast
@@ -72,12 +72,13 @@ def test_importing_a_layer_loads_no_later_layer(module):
     assert f"saris.{module}" in loaded and later == []
 
 
-def public_definitions(path: Path) -> list[str]:
-    """Public module-level functions and classes, and ``Class.method`` for
-    the public methods and properties of those classes."""
+def package_definitions(path: Path) -> list[str]:
+    """Module-level functions and classes, private ``_name`` ones included
+    (dunders are not), and ``Class.method`` for the public methods and
+    properties of those classes."""
     found = []
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             found.append(node.name)
             if isinstance(node, ast.ClassDef):
                 found += [
@@ -111,7 +112,7 @@ def test_every_public_name_is_read_by_the_program():
     unread = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for name in public_definitions(path)
+        for name in package_definitions(path)
         if ("." in name and name.rsplit(".", 1)[1] not in attrs) or ("." not in name and name not in read)
     ]
     assert unread == []
