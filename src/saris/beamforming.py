@@ -18,14 +18,6 @@ from .channel import ChannelRealization, cascade_rows
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = [
-    "BfOptions",
-    "BeamformingSolution",
-    "alternating_optimize",
-    "optimize_rows",
-    "quantize_phases",
-]
-
 
 @dataclass(frozen=True)
 class BfOptions:

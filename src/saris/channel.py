@@ -19,22 +19,6 @@ from .geometry import Point3, distance
 
 SPEED_OF_LIGHT = 3.0e8
 
-__all__ = [
-    "EnvParams",
-    "ENV_PRESETS",
-    "LinkState",
-    "LinkChannel",
-    "ChannelRealization",
-    "los_probability",
-    "path_loss_db",
-    "terrestrial_path_loss_db",
-    "realize_channels",
-    "cascade_rows",
-    "effective_channel",
-    "db_to_linear",
-    "dbm_to_watts",
-]
-
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)

@@ -17,16 +17,6 @@ from .beamforming import BfOptions
 from .channel import dbm_to_watts
 from .deployment import Grid2D, Scenario
 
-__all__ = [
-    "ConfigError",
-    "SimConfig",
-    "parse_file",
-    "parse_pilot_snr",
-    "apply_settings",
-    "to_items",
-    "digest",
-]
-
 
 class ConfigError(Exception):
     """Invalid or unknown configuration input."""

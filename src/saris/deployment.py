@@ -25,16 +25,6 @@ from .channel import (
 from .geometry import DiskRegion, Point3, sample_cluster, sample_uniform_disk
 from .streams import substream
 
-__all__ = [
-    "Scenario",
-    "Grid2D",
-    "GainMap",
-    "simulate_trial",
-    "collect_metrics",
-    "evaluate_position",
-    "grid_search",
-]
-
 
 BASELINE_ALTITUDE_M = 50.0  # swarm center height above the user-region center
 BS_POSITION = Point3(0.0, 0.0, 0.0)  # at the origin: x_u_m is measured from the BS
@@ -64,8 +54,8 @@ class Scenario:
     def __post_init__(self):
         if min(self.M, self.N, self.L) < 1:
             raise ValueError("element counts must be >= 1")
-        if not (self.r_a_m > 0 and self.r_u_m > 0):
-            raise ValueError("cluster radii must be > 0")
+        if not (0 < self.r_a_m < math.inf and 0 < self.r_u_m < math.inf):
+            raise ValueError("cluster radii must be finite and > 0")
         if not (0 < self.eta_reflect <= 1):
             raise ValueError("reflection efficiency must be in (0, 1]")
         if not (self.noise_w > 0 and self.p_tx_w > 0):

@@ -17,15 +17,6 @@ import numpy as np
 from . import beamforming
 from .channel import ChannelRealization, cascade_rows, effective_channel
 
-__all__ = [
-    "EstimationResult",
-    "group_subsurfaces",
-    "pilot_patterns",
-    "group_aggregate_channels",
-    "run_estimation",
-    "rate_loss",
-]
-
 
 @dataclass
 class EstimationResult:

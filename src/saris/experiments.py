@@ -17,16 +17,6 @@ from .deployment import Scenario, _draw_trial, collect_metrics, grid_search
 from .geometry import Point3
 from .streams import mix_seed, substream
 
-__all__ = [
-    "SweepError",
-    "ResultTable",
-    "write_csv",
-    "run_deploy_map",
-    "run_rate_vs_uavs",
-    "run_rate_vs_radius",
-    "run_estimation_sweep",
-]
-
 
 class SweepError(ValueError):
     """An invalid sweep argument; raised before any Monte Carlo work starts."""
@@ -70,12 +60,16 @@ def write_csv(path, columns, rows, seed: int, config_digest: str) -> None:
 
 def _rate_at(sc: Scenario, cfg: SimConfig, center: Point3, *stream_keys) -> tuple[float, float]:
     """Mean achievable rate over ``sc.trials`` trials at ``center`` on the
-    sub-stream ``stream_keys``, and its 95% normal-approximation halfwidth."""
+    sub-stream ``stream_keys``, and its 95% normal-approximation halfwidth;
+    a non-finite one raises ValueError naming the center."""
     _, rates = collect_metrics(sc, center, sc.trials, substream(sc.seed, *stream_keys), cfg.bf)
     mean = float(rates.mean())
-    if rates.size < 2:
-        return mean, 0.0
-    return mean, 1.96 * float(rates.std(ddof=1)) / math.sqrt(rates.size)
+    half = 1.96 * float(rates.std(ddof=1)) / math.sqrt(rates.size) if rates.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(half)):
+        raise ValueError(
+            f"non-finite mean rate {mean} or halfwidth {half} at center x={center.x:g} m, z={center.z:g} m"
+        )
+    return mean, half
 
 
 def _optimized_center(sc: Scenario, cfg: SimConfig, stream_keys: tuple) -> Point3:
@@ -151,7 +145,8 @@ def run_estimation_sweep(
 
     The swarm sits at the baseline center; per trial the pilot protocol runs,
     the group-level beamformer is built from the estimates, and the achieved
-    rate is compared against the perfect-CSI per-element solution.
+    rate is compared against the perfect-CSI per-element solution.  A
+    non-finite mean raises ValueError naming the (n_groups, pilot SNR) point.
     """
     scenario, bf = cfg.scenario, cfg.bf
 
@@ -165,7 +160,7 @@ def run_estimation_sweep(
     for n_groups in n_groups_values:
         for snr_db in pilot_snr_values:
             snr_key = "data" if snr_db is None else float(snr_db)
-            rng = substream(scenario.seed, "estimate", n_groups, str(snr_key))
+            rng = substream(scenario.seed, "estimate", n_groups, snr_key)
             mses = np.empty(scenario.trials)
             rates_p = np.empty(scenario.trials)
             rates_e = np.empty(scenario.trials)
@@ -176,16 +171,13 @@ def run_estimation_sweep(
                     r, est, scenario.p_tx_w, scenario.noise_w, bf.tol, bf.max_iter
                 )
                 mses[i], rates_p[i], rates_e[i] = est.mse, rate_p, rate_e
-            rows.append(
-                (
-                    n_groups,
-                    n_groups + 1,
-                    snr_key,
-                    float(mses.mean()),
-                    float(rates_p.mean()),
-                    float(rates_e.mean()),
+            means = (float(mses.mean()), float(rates_p.mean()), float(rates_e.mean()))
+            if not all(map(math.isfinite, means)):
+                raise ValueError(
+                    f"non-finite mean (mse, rate_perfect, rate_estimated) = {means}"
+                    f" at n_groups={n_groups}, pilot SNR {snr_key}"
                 )
-            )
+            rows.append((n_groups, n_groups + 1, snr_key, *means))
     return ResultTable(
         ["n_groups", "overhead", "pilot_snr_db", "mse", "rate_perfect", "rate_estimated"], rows
     )

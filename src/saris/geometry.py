@@ -12,14 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Point3",
-    "DiskRegion",
-    "distance",
-    "sample_uniform_disk",
-    "sample_cluster",
-]
-
 
 @dataclass(frozen=True)
 class Point3:

@@ -226,6 +226,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "identically zero" in err and "config error" not in err
 
+    # an SNR of 10^600 overflows to an infinite rate in every trial
+    OVERFLOWING_SNR = (
+        "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 3\n"
+        "scenario.noise_dbm = -3000\ntx.power_dbm = 3000\n"
+    )
+
+    def test_non_finite_estimate_mean_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.OVERFLOWING_SNR)
+        out = tmp_path / "est.csv"
+        args = ("--n-groups", "2", "--pilot-snr-db", "inf,20")
+        assert self.run("estimate", "--config", str(cfg), "--out", str(out), *args) == 2
+        err = capsys.readouterr().err
+        assert "non-finite mean" in err and "n_groups=2, pilot SNR inf" in err
+        assert not out.exists()
+
+    def test_non_finite_rate_mean_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(self.OVERFLOWING_SNR)
+        out = tmp_path / "r.csv"
+        assert self.run("rate-vs-uavs", "--config", str(cfg), "--out", str(out), "--l-values", "2") == 2
+        err = capsys.readouterr().err
+        # the baseline center, rated before the search
+        assert "non-finite mean rate" in err and "center x=200 m, z=50 m" in err
+        assert not out.exists()
+
     def test_runtime_value_error_exits_two(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise ValueError("solver diverged")
@@ -246,6 +272,8 @@ class TestCli:
         (("estimate", "--n-groups", "2", "--pilot-snr-db=-inf"), "usage"),
         (("estimate", "--n-groups="), "config error"),
         (("estimate", "--n-groups", "2", "--pilot-snr-db=-4000"), "usage"),
+        (("rate-vs-radius", "--ra-values", "5,inf"), "config error"),
+        (("rate-vs-radius", "--ru-values", "inf"), "config error"),
     ]
 
     @pytest.mark.parametrize("args, message", BAD_SWEEPS, ids=[f"args{i}" for i in range(len(BAD_SWEEPS))])

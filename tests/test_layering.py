@@ -73,11 +73,19 @@ def test_importing_a_layer_loads_no_later_layer(module):
 
 
 def package_definitions(path: Path) -> list[str]:
-    """Module-level functions and classes, private ``_name`` ones included
-    (dunders are not), and ``Class.method`` for the public methods and
-    properties of those classes."""
+    """Module-level functions, classes and assigned constants, private
+    ``_name`` ones included (dunders are not), and ``Class.method`` for the
+    public methods and properties of those classes."""
     found = []
     for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not name.id.startswith("__")
+            ]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             found.append(node.name)
             if isinstance(node, ast.ClassDef):
@@ -91,8 +99,7 @@ def package_definitions(path: Path) -> list[str]:
 
 def names_read(path: Path) -> tuple[set[str], set[str]]:
     """Identifiers loaded as a bare name, and those loaded as an attribute;
-    strings (such as ``__all__`` entries or the tracer's name lists) are not
-    reads."""
+    strings (such as the tracer's name lists) are not reads."""
     names, attrs = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
