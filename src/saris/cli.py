@@ -13,22 +13,6 @@ import sys
 
 from . import config, experiments
 
-DEFAULT_OUT = {
-    "deploy-map": "results/deploy_map.csv",
-    "rate-vs-uavs": "results/rate_vs_uavs.csv",
-    "rate-vs-radius": "results/rate_vs_radius.csv",
-    "estimate": "results/estimation.csv",
-}
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage errors with exit code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
 
 def _comma_list(parse):
     """argparse type: a comma-separated list, each element read by ``parse``."""
@@ -43,29 +27,28 @@ def _comma_list(parse):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="saris", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="saris", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary, default_out):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--trials", type=int, help="Monte Carlo trials override")
         p.add_argument("--out", help="output CSV path")
+        p.set_defaults(default_out=default_out)
+        return p
 
-    p = sub.add_parser("deploy-map", help="mean channel power gain over the (x, z) grid")
-    common(p)
-
-    p = sub.add_parser("rate-vs-uavs", help="mean achievable rate versus swarm size")
-    common(p)
+    command("deploy-map", "mean channel power gain over the (x, z) grid",
+            "results/deploy_map.csv")
+    p = command("rate-vs-uavs", "mean achievable rate versus swarm size",
+                "results/rate_vs_uavs.csv")
     p.add_argument("--l-values", type=_comma_list(int), default=[1, 5, 10, 20])
-
-    p = sub.add_parser("rate-vs-radius", help="mean achievable rate versus cluster radii")
-    common(p)
+    p = command("rate-vs-radius", "mean achievable rate versus cluster radii",
+                "results/rate_vs_radius.csv")
     p.add_argument("--ra-values", type=_comma_list(float), default=[5.0, 25.0, 50.0])
     p.add_argument("--ru-values", type=_comma_list(float), default=[100.0])
-
-    p = sub.add_parser("estimate", help="estimation overhead/accuracy sweep")
-    common(p)
+    p = command("estimate", "estimation overhead/accuracy sweep", "results/estimation.csv")
     p.add_argument("--n-groups", type=_comma_list(int), default=None,
                    help="comma-separated sub-surface counts (default: est.n_groups)")
     p.add_argument("--pilot-snr-db", type=_comma_list(config.parse_pilot_snr), default=None,
@@ -82,20 +65,14 @@ def _load_config(ns) -> config.SimConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return 1 if exc.code else 0
 
+    out = ns.out or ns.default_out
     try:
         cfg = _load_config(ns)
-    except config.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    out = ns.out or DEFAULT_OUT[ns.command]
-    try:
         if ns.command == "deploy-map":
             table = experiments.run_deploy_map(cfg)
         elif ns.command == "rate-vs-uavs":
@@ -107,7 +84,7 @@ def main(argv=None) -> int:
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
             table = experiments.run_estimation_sweep(cfg, n_groups, snrs)
         experiments.write_csv(out, table.columns, table.rows, cfg.scenario.seed, config.digest(cfg))
-    except experiments.SweepError as exc:
+    except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure

@@ -133,7 +133,7 @@ def rate_loss(
 
     est_sol = beamforming.optimize_rows(est.group_estimates, d_hat, tol_run, max_iter)
     e_true = effective_channel(r, np.repeat(est_sol.phases, size))
-    obj_est = abs(e_true @ est_sol.w) ** 2
+    obj_est = float(abs(e_true @ est_sol.w) ** 2)
 
     obj_perfect = beamforming.alternating_optimize(r, tol_run, max_iter).objective
     if obj_perfect < obj_est:

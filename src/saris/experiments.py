@@ -12,25 +12,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import estimation
-from .config import SimConfig, _fmt
+from .config import ConfigError, SimConfig, _fmt
 from .deployment import Scenario, _draw_trial, collect_metrics, grid_search
 from .geometry import Point3
 from .streams import mix_seed, substream
 
 
-class SweepError(ValueError):
-    """An invalid sweep argument; raised before any Monte Carlo work starts."""
-
-
 def _sweep_points(values, make) -> list:
     """``make(v)`` for every sweep value, all up front, so that a bad value
-    fails before the first trial runs."""
+    raises ConfigError before the first trial runs."""
     if not values:
-        raise SweepError("sweep value lists must be nonempty")
+        raise ConfigError("sweep value lists must be nonempty")
     try:
         return [make(v) for v in values]
     except ValueError as exc:
-        raise SweepError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -61,14 +57,13 @@ def write_csv(path, columns, rows, seed: int, config_digest: str) -> None:
 def _rate_at(sc: Scenario, cfg: SimConfig, center: Point3, *stream_keys) -> tuple[float, float]:
     """Mean achievable rate over ``sc.trials`` trials at ``center`` on the
     sub-stream ``stream_keys``, and its 95% normal-approximation halfwidth;
-    a non-finite one raises ValueError naming the center."""
+    a non-finite mean raises ValueError naming the center.  Rates are never
+    negative, so a finite mean means every rate, and the halfwidth, is finite."""
     _, rates = collect_metrics(sc, center, sc.trials, substream(sc.seed, *stream_keys), cfg.bf)
     mean = float(rates.mean())
+    if not math.isfinite(mean):
+        raise ValueError(f"non-finite mean rate {mean} at center x={center.x:g} m, z={center.z:g} m")
     half = 1.96 * float(rates.std(ddof=1)) / math.sqrt(rates.size) if rates.size > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(half)):
-        raise ValueError(
-            f"non-finite mean rate {mean} or halfwidth {half} at center x={center.x:g} m, z={center.z:g} m"
-        )
     return mean, half
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from saris import cli, experiments
-from saris.config import SimConfig
+from saris.config import ConfigError, SimConfig
 from saris.deployment import Grid2D, Scenario, collect_metrics
 from saris.experiments import (
     run_deploy_map,
@@ -108,6 +108,24 @@ class TestEstimationSweep:
         assert table.rows[0][2] == "data"
 
 
+class TestBadSweeps:
+    STUDIES = {  # at the default config; 3 does not divide L*N = 200
+        "empty-l-values": lambda cfg: run_rate_vs_uavs(cfg, []),
+        "empty-ra-values": lambda cfg: run_rate_vs_radius(cfg, [], [100.0]),
+        "n-groups-3": lambda cfg: run_estimation_sweep(cfg, [3], [None]),
+    }
+
+    @pytest.mark.parametrize("study", STUDIES.values(), ids=STUDIES.keys())
+    def test_raise_config_error_before_any_trial(self, study, monkeypatch):
+        def no_trials(*a, **kw):
+            raise AssertionError("Monte Carlo work started before the sweep was validated")
+
+        for name in ("_draw_trial", "collect_metrics", "grid_search"):
+            monkeypatch.setattr(experiments, name, no_trials)
+        with pytest.raises(ConfigError):
+            study(SimConfig())
+
+
 class TestWriteCsv:
     def test_write_error_reports_path(self, tmp_path):
         target = tmp_path / "dir_as_file"
@@ -162,7 +180,9 @@ class TestCli:
 
     def test_unknown_flag_exits_one_with_usage(self, capsys):
         assert self.run("deploy-map", "--frobnicate") == 1
-        assert "usage" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage" in err
+        assert err.splitlines()[-1] == "saris: error: unrecognized arguments: --frobnicate"
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert self.run("replicate") == 1
@@ -314,5 +334,10 @@ class TestCli:
         assert self.run("estimate", "--config", str(cfg), "--out", str(tmp_path / "e.csv")) == 1
         assert "divide" in capsys.readouterr().err
 
-    def test_help_exits_zero(self, capsys):
-        assert self.run("--help") == 0
+    @pytest.mark.parametrize("args", [("--help",), ("deploy-map", "--help")], ids=["saris", "deploy-map"])
+    def test_help_exits_zero(self, args, capsys):
+        assert self.run(*args) == 0
+
+    def test_no_subcommand_exits_one_with_usage(self, capsys):
+        assert self.run() == 1
+        assert "usage" in capsys.readouterr().err
