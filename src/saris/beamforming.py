@@ -75,10 +75,6 @@ def optimize_rows(
     + |direct_row @ w_old|)^2 / ||w_old||^2, and after the MRT half-step,
     ||w_new||^2.  A given init_w counts as unit-norm.
     """
-    if not (tol > 0):
-        raise ValueError("tolerance must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     rows = np.asarray(rows, dtype=complex)
     rows_c = np.conj(rows)
     direct_c = None if direct_row is None else np.conj(direct_row)
@@ -141,9 +137,7 @@ def alternating_optimize(
 
 
 def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
-    """Round each phase to the nearest point of the 2^bits uniform codebook."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    """Round each phase to the nearest point of the 2^bits uniform codebook (bits >= 1)."""
     levels = 2**bits
     step = TWO_PI / levels
     return np.mod(np.round(np.asarray(phases, dtype=float) / step), levels) * step

@@ -22,7 +22,7 @@ class ConfigError(Exception):
     """Invalid or unknown configuration input."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     scenario: Scenario = field(default_factory=Scenario)
     bf: BfOptions = field(default_factory=BfOptions)

@@ -31,7 +31,7 @@ BS_POSITION = Point3(0.0, 0.0, 0.0)  # at the origin: x_u_m is measured from the
 MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from allocating 1e300 cells
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Full simulation scenario; field names mirror the config keys."""
 
@@ -159,12 +159,6 @@ def collect_metrics(
     scenario: Scenario, center: Point3, trials: int, rng: np.random.Generator, bf: BfOptions | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (gains, rates) arrays at a fixed swarm center."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if center.y != 0.0:
-        raise ValueError("swarm center must lie in the y = 0 plane")
-    if not (center.z > 0):
-        raise ValueError("swarm center altitude must be > 0")
     bf = bf or BfOptions()
     gains = np.empty(trials)
     rates = np.empty(trials)
@@ -183,8 +177,6 @@ def evaluate_position(
 ) -> float:
     """Mean channel power gain in dB at a candidate center (objective="gain"),
     or mean achievable rate in bit/s/Hz (objective="rate")."""
-    if objective not in ("gain", "rate"):
-        raise ValueError(f"unknown objective: {objective!r}")
     gains, rates = collect_metrics(scenario, center, trials, rng, bf)
     if objective == "gain":
         return float(10.0 * np.log10(gains.mean()))

@@ -64,7 +64,7 @@ def run_estimation(
     n_groups: int,
     pilot_snr_db: float | None,
     rng: np.random.Generator,
-    noise_w: float | None = None,
+    noise_w: float,
 ) -> EstimationResult:
     """Synthesize the N'+1 received pilot vectors and least-squares invert the
     reflection-state book of ``pilot_patterns``.  The book is the DFT matrix,
@@ -73,19 +73,15 @@ def run_estimation(
 
     Pilot noise: if pilot_snr_db is finite, the per-entry noise variance is
     set so the mean received pilot power sits at that SNR; if it is None the
-    absolute data noise power noise_w is used, and must be given; math.inf
-    means noiseless.
+    absolute data noise power noise_w is used; math.inf means noiseless.
     """
-    if pilot_snr_db is None and noise_w is None:
-        raise ValueError("pilot noise needs a pilot SNR or the data noise power noise_w")
-
     truth_groups, truth_direct = group_aggregate_channels(r, n_groups)
     x_true = np.vstack([truth_direct, truth_groups])  # (N'+1, M)
     # np.fft is loaded lazily by numpy, so studies that never estimate skip it.
     y = np.fft.fft(x_true, axis=0)
 
     if pilot_snr_db is None:
-        sigma2 = float(noise_w)
+        sigma2 = noise_w
     elif math.isinf(pilot_snr_db):
         sigma2 = 0.0
     else:

@@ -35,10 +35,6 @@ class DiskRegion:
     center: Point3
     radius: float
 
-    def __post_init__(self):
-        if not (self.radius > 0):
-            raise ValueError(f"disk radius must be > 0, got {self.radius}")
-
 
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""
@@ -60,8 +56,6 @@ def sample_cluster(region: DiskRegion, count: int, rng: np.random.Generator) -> 
     Draws the 2*count uniforms in one call; they are the values of 2*count
     scalar draws, so the points equal ``count`` sample_uniform_disk calls.
     """
-    if count < 1:
-        raise ValueError(f"cluster size must be >= 1, got {count}")
     u = rng.random(2 * count).tolist()
     return [_disk_point(region, u_r, u_phi) for u_r, u_phi in zip(u[0::2], u[1::2])]
 

@@ -183,7 +183,7 @@ class TestCriterion08Estimation:
         for n_groups in (1, 10, 40, 200):
             for trial in range(3):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                est = run_estimation(r, n_groups, math.inf, rng)
+                est = run_estimation(r, n_groups, math.inf, rng, noise_w=scenario.noise_w)
                 truth, _ = group_aggregate_channels(r, n_groups)
                 rel = np.linalg.norm(est.group_estimates - truth) / np.linalg.norm(truth)
                 assert rel < 1e-9, f"N'={n_groups}: relative error {rel:.2e}"
@@ -199,7 +199,7 @@ class TestCriterion08Estimation:
             vals = []
             for _ in range(120):
                 r = _draw_trial(scenario, scenario.baseline_center, rng)
-                vals.append(run_estimation(r, 10, float(snr), rng).mse)
+                vals.append(run_estimation(r, 10, float(snr), rng, noise_w=scenario.noise_w).mse)
             mses.append(np.mean(vals))
         slope = np.polyfit(snrs / 10.0, np.log10(mses), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1), f"slope {slope:.3f}"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import ALWAYS_LOS, ALWAYS_NLOS, draw_one_link, elevation_angle_deg, make_realization
 from saris.channel import (
     ENV_PRESETS,
-    ChannelRealization,
     EnvParams,
     LinkState,
     _draw_links,
@@ -237,14 +236,15 @@ class TestDrawLink:
         assert rng.random() == probe.random()
 
     def test_rejects_identical_endpoints(self):
-        with pytest.raises(ValueError, match="endpoints must differ"):
+        # zero altitude difference: the elevation is 0, outside the sigmoid's domain
+        with pytest.raises(ValueError, match="elevation angle"):
             realize_channels(
                 self.BS, [self.BS], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
                 rng=substream(1, "f"),
             )
 
     def test_rejects_equal_altitude(self):
-        with pytest.raises(ValueError, match="strictly above"):
+        with pytest.raises(ValueError, match="elevation angle"):
             realize_channels(
                 self.BS, [Point3(10, 0, 0)], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
                 rng=substream(1, "g"),
@@ -334,42 +334,6 @@ class TestRealizeChannels:
         assert rebuilt.rows.tobytes() == rows.tobytes()
         assert rebuilt.direct_row.tobytes() == direct_row.tobytes()
 
-    @pytest.mark.parametrize("eta", [0.0, -0.5, 1.01, float("nan")])
-    def test_rejects_reflection_efficiency_outside_unit_interval(self, eta):
-        with pytest.raises(ValueError, match="reflection efficiency"):
-            realize_channels(
-                self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=eta, env=DENSE,
-                rng=substream(2, "e"),
-            )
-
-    def test_rejects_mismatched_link_shapes(self):
-        r = make_realization([np.ones((3, 2))], [np.ones((1, 3))])  # (N, M) = (3, 2)
-        with pytest.raises(ValueError, match="stack"):
-            ChannelRealization(
-                G=r.G, h=np.ones((1, 2), dtype=complex), direct=None, eta_reflect=0.9,
-                states=r.states,
-            )
-
-    def test_rejects_empty_swarm(self):
-        with pytest.raises(ValueError, match="at least one UAV"):
-            realize_channels(
-                self.BS, [], self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE, rng=substream(2, "f"),
-            )
-
-    def test_rejects_element_counts_below_one(self):
-        for M, N in [(0, 4), (4, 0)]:
-            with pytest.raises(ValueError, match="element counts"):
-                realize_channels(
-                    self.BS, self.UAVS, self.USER, M=M, N=N, eta_reflect=0.9, env=DENSE,
-                    rng=substream(2, "g"),
-                )
-
-    def test_unknown_direct_mode(self):
-        with pytest.raises(ValueError):
-            realize_channels(
-                self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE,
-                rng=substream(2, "d"), direct_link_mode="mirror",
-            )
 
 
 class TestEffectiveChannel:
@@ -382,7 +346,7 @@ class TestEffectiveChannel:
 
     def test_zero_efficiency_zeroes_reflection(self):
         rng = np.random.default_rng(3)
-        # degenerate probe: realize_channels rejects eta outside (0, 1], the
+        # degenerate probe: Scenario rejects eta outside (0, 1], the
         # realization container itself does not
         r = make_realization(
             [rng.standard_normal((2, 3)) + 0j], [rng.standard_normal((1, 2)) + 0j], eta=0.0
@@ -415,13 +379,6 @@ class TestEffectiveChannel:
         e1 = effective_channel(make_realization(g, h, eta=0.3), phases)
         e2 = effective_channel(make_realization(g, h, eta=0.9), phases)
         np.testing.assert_allclose(3.0 * e1, e2, rtol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        # one phase per cascade row: (L*N,), not the (L, N) element grid
-        r = make_realization([np.ones((2, 2))], [np.ones((1, 2))])
-        for shape in [(2, 2), (1, 2), (3,)]:
-            with pytest.raises(ValueError):
-                effective_channel(r, np.zeros(shape))
 
     def test_nlos_fourth_moment(self):
         # |h|^2 / gain is exponential(1): second moment of the power is 2

@@ -104,10 +104,13 @@ class TestApplySettings:
     def test_invalid_domain_value_is_config_error(self):
         # a 1e-300 m step would ask for about 1e304 grid cells; a 53-bit
         # codebook is finer than doubles near 2*pi, 2**1100 overflows one,
-        # and so does the pilot noise factor 10**400 of a -4000 dB SNR
+        # and so does the pilot noise factor 10**400 of a -4000 dB SNR; the
+        # trial path checks none of these again
         for key, raw in [
-            ("scenario.L", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
-            ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
+            ("scenario.L", "0"), ("scenario.M", "0"), ("scenario.N", "0"), ("scenario.r_u_m", "0"),
+            ("scenario.trials", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
+            ("grid.z_min_m", "0"), ("bf.tol", "0"), ("bf.max_iter", "0"),
+            ("bf.phase_bits", "-1"), ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
             ("est.pilot_snr_db", "nan"), ("est.pilot_snr_db", "-inf"), ("est.pilot_snr_db", "-4000"),
         ]:
             with pytest.raises(config.ConfigError, match=key):
@@ -128,6 +131,14 @@ class TestApplySettings:
     def test_rejection_names_every_key_of_the_dataclass(self):
         with pytest.raises(config.ConfigError, match="'grid.x_min_m', 'grid.x_max_m'"):
             config.apply_settings({"grid.x_min_m": "600", "grid.x_max_m": "500", "scenario.L": "3"})
+
+    def test_resolved_config_is_frozen(self):
+        # a field set after the build would skip its one check
+        cfg = config.apply_settings({})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.scenario.L = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.search_trials = 0
 
     def test_bad_direct_mode(self):
         with pytest.raises(config.ConfigError, match="direct_link_mode"):

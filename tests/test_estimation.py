@@ -129,7 +129,7 @@ class TestRunEstimation:
     @pytest.mark.parametrize("n_groups", [1, 2, 4, 8])
     def test_noiseless_exact_recovery(self, rng, n_groups):
         r = random_realization(rng, 2, 4, 3, direct=True)
-        est = run_estimation(r, n_groups, math.inf, substream(1, "e"))
+        est = run_estimation(r, n_groups, math.inf, substream(1, "e"), noise_w=1e-3)
         truth_groups, truth_direct = group_aggregate_channels(r, n_groups)
         rel = np.linalg.norm(est.group_estimates - truth_groups) / np.linalg.norm(truth_groups)
         assert rel < 1e-12
@@ -143,7 +143,7 @@ class TestRunEstimation:
         h = np.array([[0.8 + 0.1j]])
         d = np.array([[0.2 + 0.5j]])
         r = make_realization([g], [h], eta=0.9, direct=d)
-        est = run_estimation(r, 1, math.inf, substream(2, "h"))
+        est = run_estimation(r, 1, math.inf, substream(2, "h"), noise_w=1e-3)
         b_true = 0.9 * np.conj(h[0, 0]) * g[0, 0]
         d_true = np.conj(d[0, 0])
         y0 = d_true + b_true
@@ -158,7 +158,7 @@ class TestRunEstimation:
         for snr in snrs:
             stream = substream(3, "slope", float(snr))
             mses.append(
-                np.mean([run_estimation(r, 4, snr, stream).mse for _ in range(200)])
+                np.mean([run_estimation(r, 4, snr, stream, noise_w=1e-3).mse for _ in range(200)])
             )
         assert all(b < a for a, b in zip(mses, mses[1:]))  # monotone in pilot SNR
         slope = np.polyfit(snrs / 10.0, np.log10(mses), 1)[0]
@@ -169,23 +169,18 @@ class TestRunEstimation:
         est = run_estimation(r, 2, None, substream(4, "n"), noise_w=1e-30)
         assert est.mse > 0
 
-    def test_data_noise_mode_without_noise_power_rejected(self, rng):
-        r = random_realization(rng, 1, 2, 2)
-        with pytest.raises(ValueError, match="noise_w"):
-            run_estimation(r, 2, None, substream(4, "n"))
-
 
 class TestRateLoss:
     def test_per_element_noiseless_recovers_perfect_csi(self, rng):
         for _ in range(5):
             r = random_realization(rng, 2, 3, 4)
-            est = run_estimation(r, 6, math.inf, substream(6, "p"))
+            est = run_estimation(r, 6, math.inf, substream(6, "p"), noise_w=1e-3)
             rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
             assert 0 <= rate_p - rate_e <= 1e-6
 
     def test_single_group_loss_nonnegative(self, rng):
         r = random_realization(rng, 2, 3, 4)
-        est = run_estimation(r, 1, math.inf, substream(7, "q"))
+        est = run_estimation(r, 1, math.inf, substream(7, "q"), noise_w=1e-3)
         rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
         assert rate_e <= rate_p
 
@@ -194,7 +189,7 @@ class TestRateLoss:
         for n_groups in (1, 3, 9):
             for _ in range(30):
                 r = random_realization(rng, 3, 3, 2)
-                est = run_estimation(r, n_groups, 5.0, rng)
+                est = run_estimation(r, n_groups, 5.0, rng, noise_w=1e-3)
                 rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
                 assert rate_e <= rate_p + 1e-12
 
@@ -205,7 +200,7 @@ class TestRateLoss:
         for _ in range(300):
             r = random_realization(rng, 2, 4, 2)
             for n_groups in deltas:
-                est = run_estimation(r, n_groups, math.inf, rng)
+                est = run_estimation(r, n_groups, math.inf, rng, noise_w=1e-3)
                 rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
                 deltas[n_groups].append(rate_p - rate_e)
         means = [np.mean(deltas[n]) for n in (1, 2, 4, 8)]
@@ -227,7 +222,7 @@ class TestRateLoss:
         rng = substream(11, "tie")
         for _ in range(20):
             r = _draw_trial(scenario, scenario.baseline_center, rng)
-            est = run_estimation(r, scenario.L * scenario.N, math.inf, rng)
+            est = run_estimation(r, scenario.L * scenario.N, math.inf, rng, noise_w=scenario.noise_w)
             rate_p, rate_e = rate_loss(r, est, scenario.p_tx_w, scenario.noise_w)
             assert rate_e <= rate_p
         assert len(restarts) == 40 and not any(restarts)

@@ -246,6 +246,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "identically zero" in err and "config error" not in err
 
+    def test_underflowing_altitude_exits_two(self, tmp_path, capsys):
+        # z_min = 5e-324 passes the grid's z_min > 0 check, but the elevation
+        # of the first link underflows to 0: the per-link guard stops the run
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n"
+            "grid.z_min_m = 5e-324\n"
+        )
+        out = tmp_path / "m.csv"
+        assert self.run("deploy-map", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip("\n").endswith("elevation angle must be in (0, 90], got 0.0")
+        assert not out.exists()
+
     # an SNR of 10^600 overflows to an infinite rate in every trial
     OVERFLOWING_SNR = (
         "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 3\n"

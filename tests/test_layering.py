@@ -4,6 +4,8 @@ A module may import only modules of an earlier layer, so no import cycle can
 form and each layer can be read and tested without the ones above it.  And
 every name the package defines at module level, private helpers included, is
 read by the program itself, so code that only tests call lives in ``tests/``.
+Input rules live where the config is built, so only an allowlisted set of
+functions outside ``config.py`` may raise.
 """
 
 import ast
@@ -123,3 +125,55 @@ def test_every_public_name_is_read_by_the_program():
         if ("." in name and name.rsplit(".", 1)[1] not in attrs) or ("." not in name and name not in read)
     ]
     assert unread == []
+
+
+# Every function outside config.py that raises, and why its check belongs
+# there: each input rule is checked once, where the config or a sweep point
+# is built, so the functions a trial runs check numerics only.
+RAISING_FUNCTIONS = {
+    # the boundary: a sweep flag's elements and its points
+    "cli._comma_list.read": "parses a comma-separated sweep flag",
+    "experiments._sweep_points": "builds every sweep point before the first trial",
+    "estimation.group_subsurfaces": "the one copy of the rule that N' divides L*N; the sweep boundary calls it",
+    "estimation.pilot_patterns": "not on the trial path; the benchmark builds books from unchecked flags",
+    # per-link guards that accepted configs reach
+    "channel.los_probability": "grid.z_min_m = 5e-324 underflows the elevation to 0",
+    "channel.path_loss_db": "a tiny r_a_m and z_min with x_min = 0 underflow the distance to 0",
+    "channel.terrestrial_path_loss_db": "no boundary twin: a user can land on the BS",
+    # numerical failures
+    "beamforming.optimize_rows": "zero or non-finite channel",
+    "deployment.simulate_trial": "zero quantized channel",
+    "deployment.grid_search": "non-finite cell score",
+    "experiments._rate_at": "non-finite mean rate",
+    "experiments.run_estimation_sweep": "non-finite mean at a sweep point",
+    "experiments.write_csv": "I/O failure, reported with the path",
+}
+
+
+def raising_functions(path: Path) -> set[str]:
+    """``module.qualname`` of every function whose own body (nested
+    functions apart) holds a ``raise``."""
+    found = set()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{qualname}.{child.name}")
+            else:
+                if isinstance(child, ast.Raise):
+                    found.add(qualname)
+                visit(child, qualname)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_trial_path_raises_only_numerical_errors():
+    raising = {
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "config"
+        for name in raising_functions(path)
+        if not name.endswith(".__post_init__")
+    }
+    assert raising == set(RAISING_FUNCTIONS)
