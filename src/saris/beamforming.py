@@ -75,7 +75,6 @@ def optimize_rows(
     + |direct_row @ w_old|)^2 / ||w_old||^2, and after the MRT half-step,
     ||w_new||^2.  A given init_w counts as unit-norm.
     """
-    rows = np.asarray(rows, dtype=complex)
     rows_c = np.conj(rows)
     direct_c = None if direct_row is None else np.conj(direct_row)
 
@@ -88,7 +87,7 @@ def optimize_rows(
         if not obj > 0:
             raise ValueError("effective channel is identically zero or not finite")
     else:
-        w = np.asarray(init_w, dtype=complex)
+        w = init_w
         obj = float(abs(e @ w) ** 2)
         norm2 = 1.0
     trace = [obj]
@@ -140,4 +139,4 @@ def quantize_phases(phases: np.ndarray, bits: int) -> np.ndarray:
     """Round each phase to the nearest point of the 2^bits uniform codebook (bits >= 1)."""
     levels = 2**bits
     step = TWO_PI / levels
-    return np.mod(np.round(np.asarray(phases, dtype=float) / step), levels) * step
+    return np.mod(np.round(phases / step), levels) * step

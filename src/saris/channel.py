@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -68,63 +68,46 @@ class LinkState(enum.Enum):
 
 @dataclass(slots=True)
 class LinkChannel:
-    """One realized point-to-point link, as ChannelRealization's per-link
-    views give it: matrix has shape (rx_elements, tx_elements)."""
+    """One realized link's state, as bs_to_uav and uav_to_user list it."""
 
-    matrix: np.ndarray
     state: LinkState
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelRealization:
-    """One Monte Carlo draw of every link in the reflected system.
+    """One Monte Carlo draw of every link in the reflected system, kept as
+    the cascaded rows of ``cascade_rows`` and one state per UAV link (the L
+    BS->UAV links first).
 
-    G (L, N, M) stacks the BS->UAV matrices and h (L, N) the UAV->user
-    vectors; direct is the (M,) BS->user vector, or None when the direct path
-    is blocked (the dead-zone default).  states holds one entry per UAV
-    link, the L BS->UAV links first.  The cascaded contribution
-    rows of ``cascade_rows`` are built once, at construction.
+    The constructor folds G (L, N, M), the BS->UAV matrices, h (L, N), the
+    UAV->user vectors, eta_reflect and direct, the (M,) BS->user vector or
+    None when the direct path is blocked (the dead-zone default), into the
+    rows and keeps none of them.
     """
 
-    G: np.ndarray
-    h: np.ndarray
-    direct: np.ndarray | None
-    eta_reflect: float
+    G: InitVar[np.ndarray]
+    h: InitVar[np.ndarray]
+    direct: InitVar[np.ndarray | None]
+    eta_reflect: InitVar[float]
     states: list[LinkState]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    direct_row: np.ndarray | None = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)
+    direct_row: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self):
-        L, N, M = self.G.shape
-        rows = np.conj(self.h)[:, :, None] * self.G
-        rows *= self.eta_reflect
-        self.rows = rows.reshape(L * N, M)
-        self.direct_row = np.conj(self.direct) if self.direct is not None else None
-
-    @property
-    def L(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def M(self) -> int:
-        return self.G.shape[2]
+    def __post_init__(self, G, h, direct, eta_reflect):
+        rows = np.conj(h)[:, :, None] * G
+        rows *= eta_reflect
+        self.rows = rows.reshape(-1, G.shape[2])
+        self.direct_row = np.conj(direct) if direct is not None else None
 
     @property
     def bs_to_uav(self) -> list[LinkChannel]:
-        """Per-link views into G, each (N, M), built on demand (the benchmark
-        tracer reads link states through them)."""
-        L = self.L
-        return list(map(LinkChannel, self.G, self.states[:L]))
+        """The L BS->UAV links (the benchmark tracer reads their states)."""
+        return list(map(LinkChannel, self.states[: len(self.states) // 2]))
 
     @property
     def uav_to_user(self) -> list[LinkChannel]:
-        """Per-link views into h, each (1, N)."""
-        L = self.L
-        return list(map(LinkChannel, self.h[:, None], self.states[L:]))
+        """The L UAV->user links."""
+        return list(map(LinkChannel, self.states[len(self.states) // 2 :]))
 
 
 def los_probability(theta_deg: float, env: EnvParams) -> float:
@@ -268,7 +251,7 @@ def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-element cascaded contribution rows.
 
     Returns (rows, direct_row): rows has shape (L*N, M) with row (l, n) equal
-    to conj(h_l[n]) * eta * G_l[n, :]; direct_row is conj of the stored direct
+    to conj(h_l[n]) * eta * G_l[n, :]; direct_row is conj of the direct
     vector (or None).  For phases theta and unit precoder w the received
     scalar is sum_k exp(1j*theta_k) * rows[k] @ w (+ direct_row @ w), i.e. the
     row-form effective channel applied to w.  Built with the realization.

@@ -26,6 +26,13 @@ def _comma_list(parse):
     return read
 
 
+def _out_path(raw: str) -> str:
+    """argparse type: a nonempty output path."""
+    if not raw:
+        raise argparse.ArgumentTypeError("output path must not be empty")
+    return raw
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="saris", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -35,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--trials", type=int, help="Monte Carlo trials override")
-        p.add_argument("--out", help="output CSV path")
-        p.set_defaults(default_out=default_out)
+        p.add_argument("--out", type=_out_path, default=default_out,
+                       help="output CSV path (default: %(default)s)")
         return p
 
     command("deploy-map", "mean channel power gain over the (x, z) grid",
@@ -70,7 +77,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
 
-    out = ns.out or ns.default_out
     try:
         cfg = _load_config(ns)
         if ns.command == "deploy-map":
@@ -83,14 +89,14 @@ def main(argv=None) -> int:
             n_groups = ns.n_groups if ns.n_groups is not None else [cfg.est_n_groups]
             snrs = ns.pilot_snr_db if ns.pilot_snr_db is not None else [cfg.est_pilot_snr_db]
             table = experiments.run_estimation_sweep(cfg, n_groups, snrs)
-        experiments.write_csv(out, table.columns, table.rows, cfg.scenario.seed, config.digest(cfg))
+        experiments.write_csv(ns.out, table.columns, table.rows, cfg.scenario.seed, config.digest(cfg))
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {out}")
+    print(f"wrote {ns.out}")
     return 0
 
 

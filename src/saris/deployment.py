@@ -22,7 +22,7 @@ from .channel import (
     effective_channel,
     realize_channels,
 )
-from .geometry import DiskRegion, Point3, sample_cluster, sample_uniform_disk
+from .geometry import Point3, sample_cluster, sample_uniform_disk
 from .streams import substream
 
 
@@ -111,15 +111,15 @@ def _axis_count(lo: float, hi: float, step: float) -> float:
 
 @dataclass
 class GainMap:
-    mean_gain_db: np.ndarray  # (len(x_values), len(z_values))
+    mean_gain_db: np.ndarray  # (x, z) cell means of the objective: gain in dB, or a rate search's rate
     best: tuple[float, float, float]  # (x*, z*, gain*)
 
 
 def _draw_trial(scenario: Scenario, center: Point3, rng: np.random.Generator) -> ChannelRealization:
     """Sample the user in its disk and the L UAVs in the swarm disk around
     ``center``, then realize every link.  Draw order: user, UAVs, links."""
-    user = sample_uniform_disk(DiskRegion(Point3(scenario.x_u_m, 0.0, 0.0), scenario.r_u_m), rng)
-    uavs = sample_cluster(DiskRegion(center, scenario.r_a_m), scenario.L, rng)
+    user = sample_uniform_disk(Point3(scenario.x_u_m, 0.0, 0.0), scenario.r_u_m, rng)
+    uavs = sample_cluster(center, scenario.r_a_m, scenario.L, rng)
     return realize_channels(
         BS_POSITION,
         uavs,

@@ -26,11 +26,7 @@ class EstimationResult:
 
 
 def group_subsurfaces(L: int, N: int, n_groups: int) -> int:
-    """Size of each of n_groups contiguous, equal groups of the L*N elements.
-
-    Group g holds cascade rows g*size .. (g+1)*size - 1 (UAV-major), so
-    ``np.repeat(group_values, size)`` gives each element its group's value.
-    """
+    """Size of each of n_groups contiguous, equal groups of the L*N elements."""
     total = L * N
     if n_groups < 1 or total % n_groups != 0:
         raise ValueError(f"n_groups={n_groups} must divide the element count {total}")
@@ -51,11 +47,14 @@ def pilot_patterns(n_groups: int) -> np.ndarray:
 
 def group_aggregate_channels(r: ChannelRealization, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth aggregates: per-group sums of the cascaded contribution
-    rows, plus the direct row (zeros when the direct path is blocked)."""
-    size = group_subsurfaces(r.L, r.N, n_groups)
+    rows, plus the direct row (zeros when the direct path is blocked).
+    With size = L*N / n_groups, group g holds cascade rows g*size ..
+    (g+1)*size - 1 (UAV-major), so
+    ``np.repeat(group_values, size)`` gives each element its group's value.
+    """
     rows, direct_row = cascade_rows(r)
-    groups = rows.reshape(n_groups, size, r.M).sum(axis=1)
-    direct = direct_row if direct_row is not None else np.zeros(r.M, dtype=complex)
+    groups = rows.reshape(n_groups, -1, rows.shape[1]).sum(axis=1)
+    direct = direct_row if direct_row is not None else np.zeros_like(rows[0])
     return groups, direct
 
 
@@ -124,7 +123,7 @@ def rate_loss(
     takes the estimated one, with no ascent.
     """
     tol_run = min(tol, 1e-10)
-    size = group_subsurfaces(r.L, r.N, len(est.group_estimates))
+    size = len(r.rows) // len(est.group_estimates)
     d_hat = est.direct_estimate if r.direct_row is not None else None
 
     est_sol = beamforming.optimize_rows(est.group_estimates, d_hat, tol_run, max_iter)

@@ -28,44 +28,33 @@ class Point3:
             raise ValueError(f"node altitude must be >= 0, got z={self.z}")
 
 
-@dataclass(frozen=True)
-class DiskRegion:
-    """Horizontal disk at the center's altitude; daughter points sample inside it."""
-
-    center: Point3
-    radius: float
-
-
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
 
 
-def sample_uniform_disk(region: DiskRegion, rng: np.random.Generator) -> Point3:
-    """One point uniform over the disk area, at the center's altitude.
+def sample_uniform_disk(center: Point3, radius: float, rng: np.random.Generator) -> Point3:
+    """One point uniform over the horizontal disk of ``radius`` around
+    ``center``, at the center's altitude.
 
     Draw order is fixed (radius fraction first, then angle) so that streams
     replay identically for a given generator state.
     """
-    return _disk_point(region, rng.random(), rng.random())
+    return _disk_point(center, radius, rng.random(), rng.random())
 
 
-def sample_cluster(region: DiskRegion, count: int, rng: np.random.Generator) -> list[Point3]:
+def sample_cluster(center: Point3, radius: float, count: int, rng: np.random.Generator) -> list[Point3]:
     """``count`` independent uniform-disk points (fixed daughter count).
 
     Draws the 2*count uniforms in one call; they are the values of 2*count
     scalar draws, so the points equal ``count`` sample_uniform_disk calls.
     """
     u = rng.random(2 * count).tolist()
-    return [_disk_point(region, u_r, u_phi) for u_r, u_phi in zip(u[0::2], u[1::2])]
+    return [_disk_point(center, radius, u_r, u_phi) for u_r, u_phi in zip(u[0::2], u[1::2])]
 
 
-def _disk_point(region: DiskRegion, u_r: float, u_phi: float) -> Point3:
+def _disk_point(center: Point3, radius: float, u_r: float, u_phi: float) -> Point3:
     """Disk point at radius fraction sqrt(u_r) and angle 2*pi*u_phi."""
-    r = region.radius * math.sqrt(u_r)
+    r = radius * math.sqrt(u_r)
     phi = 2.0 * math.pi * u_phi
-    return Point3(
-        region.center.x + r * math.cos(phi),
-        region.center.y + r * math.sin(phi),
-        region.center.z,
-    )
+    return Point3(center.x + r * math.cos(phi), center.y + r * math.sin(phi), center.z)

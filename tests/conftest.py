@@ -97,14 +97,21 @@ def unit_realization(L, N, M=1, eta=0.9) -> ChannelRealization:
     )
 
 
-def random_realization(rng, L, N, M, direct=False, scale=1.0) -> ChannelRealization:
-    def cg(shape):
-        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _complex_gaussian(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
+
+def random_links(rng, L, N, M, scale=1.0):
+    """Complex Gaussian per-UAV matrices (bs_mats, user_mats), as
+    make_realization takes them."""
+    bs_mats = [_complex_gaussian(rng, (N, M), scale) for _ in range(L)]
+    return bs_mats, [_complex_gaussian(rng, (1, N), scale) for _ in range(L)]
+
+
+def random_realization(rng, L, N, M, direct=False, scale=1.0) -> ChannelRealization:
+    bs_mats, user_mats = random_links(rng, L, N, M, scale)
     return make_realization(
-        [cg((N, M)) for _ in range(L)],
-        [cg((1, N)) for _ in range(L)],
-        direct=cg((1, M)) if direct else None,
+        bs_mats, user_mats, direct=_complex_gaussian(rng, (1, M), scale) if direct else None
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_realization, random_realization, unit_realization
+from conftest import make_realization, random_links, random_realization, unit_realization
 from saris.beamforming import alternating_optimize, optimize_rows, quantize_phases
 from saris.channel import cascade_rows, effective_channel
 
@@ -141,9 +141,10 @@ class TestAlternatingOptimize:
     def test_scale_covariance(self, rng):
         # scaling every effective-channel coefficient by s scales the
         # objective by s^2 and leaves the argmax phases unchanged
-        r = random_realization(rng, 2, 3, 4)
+        bs_mats, user_mats = random_links(rng, 2, 3, 4)
         s = 3.7
-        scaled = make_realization(r.G, r.h[:, None] * s, eta=r.eta_reflect)
+        r = make_realization(bs_mats, user_mats)
+        scaled = make_realization(bs_mats, [u * s for u in user_mats])
         a = alternating_optimize(r)
         b = alternating_optimize(scaled)
         assert b.objective == pytest.approx(a.objective * s**2, rel=1e-9)
@@ -153,9 +154,10 @@ class TestAlternatingOptimize:
 
     def test_scale_covariance_both_hops(self, rng):
         # scaling both hops compounds: each cascaded row carries s twice
-        r = random_realization(rng, 2, 3, 4)
+        bs_mats, user_mats = random_links(rng, 2, 3, 4)
         s = 2.1
-        scaled = make_realization(r.G * s, r.h[:, None] * s, eta=r.eta_reflect)
+        r = make_realization(bs_mats, user_mats)
+        scaled = make_realization([b * s for b in bs_mats], [u * s for u in user_mats])
         assert alternating_optimize(scaled).objective == pytest.approx(
             alternating_optimize(r).objective * s**4, rel=1e-9
         )

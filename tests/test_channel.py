@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import ALWAYS_LOS, ALWAYS_NLOS, draw_one_link, elevation_angle_deg, make_realization
 from saris.channel import (
     ENV_PRESETS,
+    ChannelRealization,
     EnvParams,
     LinkState,
     _draw_links,
@@ -261,19 +263,20 @@ class TestRealizeChannels:
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "a"),
         )
-        assert (r.L, r.N, r.M) == (10, 20, 16)
-        assert r.G.shape == (10, 20, 16) and r.h.shape == (10, 20)
+        assert r.rows.shape == (200, 16)
         assert len(r.states) == 20
         assert len(r.bs_to_uav) == 10 and len(r.uav_to_user) == 10
-        assert all(lc.matrix.shape == (20, 16) for lc in r.bs_to_uav)
-        assert all(lc.matrix.shape == (1, 20) for lc in r.uav_to_user)
+
+    def test_record_keeps_only_what_a_trial_reads(self):
+        # the link stacks and eta are folded into the rows at construction
+        assert [f.name for f in dataclasses.fields(ChannelRealization)] == ["states", "rows", "direct_row"]
 
     def test_direct_blocked_by_default(self):
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "b"),
         )
-        assert r.direct is None and r.direct_row is None
+        assert r.direct_row is None
 
     def test_direct_terrestrial_mode(self):
         kw = dict(M=4, N=4, eta_reflect=0.9, env=DENSE)
@@ -285,30 +288,27 @@ class TestRealizeChannels:
         # leaves the probe at its normals
         probe = substream(2, "c")
         blocked = realize_channels(self.BS, self.UAVS, self.USER, rng=probe, **kw)
-        assert r.G.tobytes() == blocked.G.tobytes() and r.h.tobytes() == blocked.h.tobytes()
+        assert r.rows.tobytes() == blocked.rows.tobytes() and r.states == blocked.states
         gain = min(1.0, db_to_linear(-terrestrial_path_loss_db(distance(self.BS, self.USER), DENSE)))
         parts = probe.standard_normal((1, 4, 2))
         expected = math.sqrt(gain) * (parts.view(np.complex128)[..., 0] / math.sqrt(2.0))
-        assert r.direct.shape == (4,)
-        assert r.direct.tobytes() == expected[0].tobytes()
+        assert r.direct_row.shape == (4,)
+        assert r.direct_row.tobytes() == np.conj(expected[0]).tobytes()
 
     def test_same_seed_bit_identical(self):
-        kw = dict(M=4, N=4, eta_reflect=0.9, env=DENSE)
+        kw = dict(M=4, N=4, eta_reflect=0.9, env=DENSE, direct_link_mode="terrestrial_nlos")
         r1 = realize_channels(self.BS, self.UAVS, self.USER, rng=substream(5, "z"), **kw)
         r2 = realize_channels(self.BS, self.UAVS, self.USER, rng=substream(5, "z"), **kw)
-        assert r1.G.tobytes() == r2.G.tobytes() and r1.h.tobytes() == r2.h.tobytes()
+        assert r1.rows.tobytes() == r2.rows.tobytes()
+        assert r1.direct_row.tobytes() == r2.direct_row.tobytes()
         assert r1.states == r2.states
 
-    def test_links_are_views_into_the_stacks(self):
+    def test_link_lists_split_the_states(self):
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "v"),
         )
         for l in range(10):
-            assert np.shares_memory(r.bs_to_uav[l].matrix, r.G)
-            assert np.shares_memory(r.uav_to_user[l].matrix, r.h)
-            assert (r.bs_to_uav[l].matrix == r.G[l]).all()
-            assert (r.uav_to_user[l].matrix[0] == r.h[l]).all()
             # link states: the BS->UAV links first, then the UAV->user links
             assert r.bs_to_uav[l].state is r.states[l]
             assert r.uav_to_user[l].state is r.states[10 + l]
@@ -318,22 +318,22 @@ class TestRealizeChannels:
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
             rng=substream(2, "w"), direct_link_mode="terrestrial_nlos",
         )
+        # replay the stream: all BS->UAV links, then all UAV->user links
+        probe = substream(2, "w")
+        G, g_states = _draw_links([(self.BS, uav) for uav in self.UAVS], 20, 16, DENSE, probe)
+        h, h_states = _draw_links([(uav, self.USER) for uav in self.UAVS], 1, 20, DENSE, probe)
+        assert r.states == g_states + h_states
         blocks = []
-        for g, h in zip(r.bs_to_uav, r.uav_to_user):
-            block = np.conj(h.matrix[0])[:, None] * g.matrix
+        for g_l, h_l in zip(G, h):
+            block = np.conj(h_l[0])[:, None] * g_l
             block *= 0.9
             blocks.append(block)
         rows, direct_row = cascade_rows(r)
         assert rows.tobytes() == np.vstack(blocks).tobytes()
-        assert direct_row.tobytes() == np.conj(r.direct).tobytes()
-        # rebuilding from the per-link views gives the same stacks and rows
-        rebuilt = make_realization(
-            [lc.matrix for lc in r.bs_to_uav], [lc.matrix for lc in r.uav_to_user],
-            eta=0.9, direct=r.direct[None],
-        )
+        # rebuilding from the replayed links gives the same rows
+        rebuilt = make_realization(G, h, eta=0.9, direct=np.conj(direct_row)[None])
         assert rebuilt.rows.tobytes() == rows.tobytes()
         assert rebuilt.direct_row.tobytes() == direct_row.tobytes()
-
 
 
 class TestEffectiveChannel:

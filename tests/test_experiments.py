@@ -207,6 +207,18 @@ class TestCli:
         assert self.run("estimate", "--config", str(cfg)) == 0
         assert (tmp_path / "results" / "estimation.csv").exists()
 
+    def test_empty_out_path_exits_one_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # an empty --out is a usage error, not a request for the default path
+        def no_study(*a, **kw):
+            raise AssertionError("the study started on an empty --out")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "run_deploy_map", no_study)
+        assert self.run("deploy-map", "--out", "") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "saris deploy-map: error: argument --out: output path must not be empty"
+        assert list(tmp_path.iterdir()) == []
+
     def test_estimate_overhead_column_exact(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n")

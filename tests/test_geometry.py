@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import elevation_angle_deg
-from saris.geometry import DiskRegion, Point3, distance, sample_cluster, sample_uniform_disk
+from saris.geometry import Point3, distance, sample_cluster, sample_uniform_disk
 from saris.streams import substream
 
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -82,36 +82,36 @@ class TestElevation:
 
 class TestDiskSampling:
     def test_containment(self, rng):
-        region = DiskRegion(Point3(5, -3, 40), 10.0)
+        region = (Point3(5, -3, 40), 10.0)
         for _ in range(2000):
-            p = sample_uniform_disk(region, rng)
+            p = sample_uniform_disk(*region, rng)
             assert math.hypot(p.x - 5, p.y + 3) <= 10.0
             assert p.z == 40.0
 
     def test_mean_radial_offset(self, rng):
         # mean of r * (2r/R^2) over [0, R] is 2R/3
-        region = DiskRegion(Point3(0, 0, 0), 10.0)
+        region = (Point3(0, 0, 0), 10.0)
         offsets = np.array(
-            [math.hypot(p.x, p.y) for p in (sample_uniform_disk(region, rng) for _ in range(100_000))]
+            [math.hypot(p.x, p.y) for p in (sample_uniform_disk(*region, rng) for _ in range(100_000))]
         )
         assert offsets.mean() == pytest.approx(20.0 / 3.0, rel=0.02)
 
     def test_half_area_fraction(self, rng):
         # the disk of radius R/sqrt(2) holds half the area
-        region = DiskRegion(Point3(0, 0, 0), 10.0)
+        region = (Point3(0, 0, 0), 10.0)
         offsets = np.array(
-            [math.hypot(p.x, p.y) for p in (sample_uniform_disk(region, rng) for _ in range(100_000))]
+            [math.hypot(p.x, p.y) for p in (sample_uniform_disk(*region, rng) for _ in range(100_000))]
         )
         frac = np.mean(offsets <= 10.0 / math.sqrt(2))
         assert frac == pytest.approx(0.5, abs=0.01)
 
     def test_area_uniformity_ks(self, rng):
         # (r/R)^2 must be uniform(0, 1)
-        region = DiskRegion(Point3(0, 0, 0), 7.0)
+        region = (Point3(0, 0, 0), 7.0)
         sq = np.array(
             [
                 (p.x**2 + p.y**2) / 49.0
-                for p in (sample_uniform_disk(region, rng) for _ in range(100_000))
+                for p in (sample_uniform_disk(*region, rng) for _ in range(100_000))
             ]
         )
         ks = stats.kstest(sq, "uniform")
@@ -120,30 +120,30 @@ class TestDiskSampling:
 
 class TestCluster:
     def test_count_and_containment(self):
-        region = DiskRegion(Point3(100, 0, 80), 10.0)
-        pts = sample_cluster(region, 10, substream(1, "cluster"))
+        region = (Point3(100, 0, 80), 10.0)
+        pts = sample_cluster(*region, 10, substream(1, "cluster"))
         assert len(pts) == 10
         assert all(math.hypot(p.x - 100, p.y) <= 10.0 for p in pts)
         assert all(p.z == 80.0 for p in pts)
 
     def test_single_point_reduces_to_disk_sample(self):
-        region = DiskRegion(Point3(0, 0, 0), 5.0)
-        a = sample_cluster(region, 1, substream(7, "x"))[0]
-        b = sample_uniform_disk(region, substream(7, "x"))
+        region = (Point3(0, 0, 0), 5.0)
+        a = sample_cluster(*region, 1, substream(7, "x"))[0]
+        b = sample_uniform_disk(*region, substream(7, "x"))
         assert (a.x, a.y, a.z) == (b.x, b.y, b.z)
 
     def test_equals_sequential_disk_samples(self):
         # one batched draw of 2*count uniforms gives the points, and leaves
         # the stream where count scalar-drawing calls would
-        region = DiskRegion(Point3(100, -20, 80), 15.0)
+        region = (Point3(100, -20, 80), 15.0)
         rng_a, rng_b = substream(4, "seq"), substream(4, "seq")
-        a = sample_cluster(region, 12, rng_a)
-        b = [sample_uniform_disk(region, rng_b) for _ in range(12)]
+        a = sample_cluster(*region, 12, rng_a)
+        b = [sample_uniform_disk(*region, rng_b) for _ in range(12)]
         assert [(p.x, p.y, p.z) for p in a] == [(p.x, p.y, p.z) for p in b]
         assert rng_a.random() == rng_b.random()
 
     def test_deterministic_for_fixed_stream(self):
-        region = DiskRegion(Point3(0, 0, 0), 5.0)
-        a = sample_cluster(region, 8, substream(3, "s"))
-        b = sample_cluster(region, 8, substream(3, "s"))
+        region = (Point3(0, 0, 0), 5.0)
+        a = sample_cluster(*region, 8, substream(3, "s"))
+        b = sample_cluster(*region, 8, substream(3, "s"))
         assert a == b

@@ -3,7 +3,8 @@
 A module may import only modules of an earlier layer, so no import cycle can
 form and each layer can be read and tested without the ones above it.  And
 every name the package defines at module level, private helpers included, is
-read by the program itself, so code that only tests call lives in ``tests/``.
+read by the program itself, as is every field a dataclass stores, so code that
+only tests call lives in ``tests/``.
 Input rules live where the config is built, so only an allowlisted set of
 functions outside ``config.py`` may raise.
 """
@@ -127,12 +128,44 @@ def test_every_public_name_is_read_by_the_program():
     assert unread == []
 
 
+def dataclass_fields(path: Path) -> list[str]:
+    """``Class.field`` for each stored field of the module's ``@dataclass``
+    classes: ``InitVar`` fields are constructor arguments, not storage."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        found += [
+            f"{node.name}.{item.target.id}"
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and not ast.unparse(item.annotation).startswith(("InitVar", "ClassVar"))
+        ]
+    return found
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # A record keeps only what the program reads: each stored field is loaded
+    # as an attribute somewhere in the package or the benchmark (the owner's
+    # class is not resolved).  NamedTuples are read by position and exempt.
+    attrs = set().union(*(a for _, a in map(names_read, PROGRAM)))
+    unread = [
+        name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in dataclass_fields(path)
+        if name.rsplit(".", 1)[1] not in attrs
+    ]
+    assert unread == []
+
+
 # Every function outside config.py that raises, and why its check belongs
 # there: each input rule is checked once, where the config or a sweep point
 # is built, so the functions a trial runs check numerics only.
 RAISING_FUNCTIONS = {
-    # the boundary: a sweep flag's elements and its points
+    # the boundary: the CLI's flags and the sweep points
     "cli._comma_list.read": "parses a comma-separated sweep flag",
+    "cli._out_path": "parses --out; an empty path is a usage error",
     "experiments._sweep_points": "builds every sweep point before the first trial",
     "estimation.group_subsurfaces": "the one copy of the rule that N' divides L*N; the sweep boundary calls it",
     "estimation.pilot_patterns": "not on the trial path; the benchmark builds books from unchecked flags",
