@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +20,24 @@ from .geometry import Point3, distance
 SPEED_OF_LIGHT = 3.0e8
 
 
-def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
 class EnvParams:
-    """Air-to-ground environment constants.
+    """Air-to-ground environment constants; the defaults are the dense-urban
+    parameter set of Al-Hourani et al. (IEEE WCL 2014).
 
     a, b parameterize the elevation sigmoid of the LoS probability;
     eta_los_db / eta_nlos_db are the excess losses added to free-space path
     loss; f_c is the carrier frequency in Hz.
     """
 
-    a: float
-    b: float
-    eta_los_db: float
-    eta_nlos_db: float
+    a: float = 12.08
+    b: float = 0.11
+    eta_los_db: float = 1.6
+    eta_nlos_db: float = 23.0
     f_c: float = 2.0e9
 
     def __post_init__(self):
@@ -50,15 +47,6 @@ class EnvParams:
             raise ValueError("excess losses must satisfy eta_nlos > eta_los >= 0")
         if not (self.f_c > 0):
             raise ValueError("carrier frequency must be > 0")
-
-
-# Standard four-environment parameterization of the elevation-sigmoid model.
-ENV_PRESETS: dict[str, EnvParams] = {
-    "suburban": EnvParams(a=4.88, b=0.43, eta_los_db=0.1, eta_nlos_db=21.0),
-    "urban": EnvParams(a=9.61, b=0.16, eta_los_db=1.0, eta_nlos_db=20.0),
-    "dense_urban": EnvParams(a=12.08, b=0.11, eta_los_db=1.6, eta_nlos_db=23.0),
-    "highrise": EnvParams(a=27.23, b=0.08, eta_los_db=2.3, eta_nlos_db=34.0),
-}
 
 
 class LinkState(enum.Enum):
@@ -75,29 +63,14 @@ class LinkChannel:
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """One Monte Carlo draw of every link in the reflected system, kept as
-    the cascaded rows of ``cascade_rows`` and one state per UAV link (the L
-    BS->UAV links first).
+    """One Monte Carlo draw of every link in the reflected system, as
+    ``realize_channels`` folds it: one state per UAV link (the L BS->UAV links
+    first), the (L*N, M) cascaded rows and the (M,) direct row, or None when
+    the direct path is blocked (the dead-zone default); see ``cascade_rows``."""
 
-    The constructor folds G (L, N, M), the BS->UAV matrices, h (L, N), the
-    UAV->user vectors, eta_reflect and direct, the (M,) BS->user vector or
-    None when the direct path is blocked (the dead-zone default), into the
-    rows and keeps none of them.
-    """
-
-    G: InitVar[np.ndarray]
-    h: InitVar[np.ndarray]
-    direct: InitVar[np.ndarray | None]
-    eta_reflect: InitVar[float]
     states: list[LinkState]
-    rows: np.ndarray = field(init=False, repr=False)
-    direct_row: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self, G, h, direct, eta_reflect):
-        rows = np.conj(h)[:, :, None] * G
-        rows *= eta_reflect
-        self.rows = rows.reshape(-1, G.shape[2])
-        self.direct_row = np.conj(direct) if direct is not None else None
+    rows: np.ndarray
+    direct_row: np.ndarray | None
 
     @property
     def bs_to_uav(self) -> list[LinkChannel]:
@@ -115,7 +88,10 @@ def los_probability(theta_deg: float, env: EnvParams) -> float:
     # Kept: accepted configs reach it (grid.z_min_m = 5e-324 underflows theta to 0).
     if not (0 < theta_deg <= 90):
         raise ValueError(f"elevation angle must be in (0, 90], got {theta_deg}")
-    return 1.0 / (1.0 + env.a * math.exp(-env.b * (theta_deg - env.a)))
+    try:
+        return 1.0 / (1.0 + env.a * math.exp(-env.b * (theta_deg - env.a)))
+    except OverflowError:
+        return 0.0  # the sigmoid's limit where the exponential overflows
 
 
 def path_loss_db(d: float, state: LinkState, env: EnvParams) -> float:
@@ -152,8 +128,10 @@ def _phasors(steps: np.ndarray, count: int) -> np.ndarray:
 
 
 def _gain_from_pl(pl_db: float) -> float:
-    # No amplification: clamp for pathological sub-wavelength distances.
-    return min(1.0, db_to_linear(-pl_db))
+    # No amplification: a loss of at most 0 dB (a pathological sub-wavelength
+    # distance) gives unit gain, decided before the power, which overflows a
+    # double for a loss below about -3083 dB.
+    return 1.0 if pl_db <= 0.0 else 10.0 ** (-pl_db / 10.0)
 
 
 # Phase step per unit sin(angle) of a half-wavelength ULA.
@@ -228,8 +206,9 @@ def realize_channels(
     rng: np.random.Generator,
     direct_link_mode: str = "blocked",
 ) -> ChannelRealization:
-    """Draw every link of one trial: L incident matrices, L reflected vectors,
-    and optionally the direct path.
+    """Draw every link of one trial (L incident matrices G, L reflected
+    vectors h, and optionally the direct path) and fold them into the
+    cascaded rows.
 
     Draw order is fixed (all BS->UAV links, then all UAV->user links, then
     the direct link) so a given stream state reproduces the realization
@@ -237,14 +216,16 @@ def realize_channels(
     """
     G, states = _draw_links([(bs, uav) for uav in uavs], N, M, env, rng)
     h, h_states = _draw_links([(uav, user) for uav in uavs], 1, N, env, rng)
-    direct = None
+    rows = np.conj(h[:, 0])[:, :, None] * G
+    rows *= eta_reflect
+    direct_row = None
     if direct_link_mode == "terrestrial_nlos":
         # Ground-to-ground NLoS path: log-distance loss, i.i.d. complex Gaussian.
         gain = _gain_from_pl(terrestrial_path_loss_db(distance(bs, user), env))
         normals = rng.standard_normal((M, 2))
         normals *= _INV_SQRT2
-        direct = math.sqrt(gain) * normals.view(np.complex128)[:, 0]
-    return ChannelRealization(G, h[:, 0], direct, eta_reflect, states + h_states)
+        direct_row = np.conj(math.sqrt(gain) * normals.view(np.complex128)[:, 0])
+    return ChannelRealization(states + h_states, rows.reshape(-1, M), direct_row)
 
 
 def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:
@@ -254,7 +235,7 @@ def cascade_rows(r: ChannelRealization) -> tuple[np.ndarray, np.ndarray | None]:
     to conj(h_l[n]) * eta * G_l[n, :]; direct_row is conj of the direct
     vector (or None).  For phases theta and unit precoder w the received
     scalar is sum_k exp(1j*theta_k) * rows[k] @ w (+ direct_row @ w), i.e. the
-    row-form effective channel applied to w.  Built with the realization.
+    row-form effective channel applied to w.  Built by ``realize_channels``.
     """
     return r.rows, r.direct_row
 

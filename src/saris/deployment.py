@@ -15,7 +15,6 @@ import numpy as np
 
 from .beamforming import BfOptions, alternating_optimize, quantize_phases
 from .channel import (
-    ENV_PRESETS,
     ChannelRealization,
     EnvParams,
     dbm_to_watts,
@@ -42,7 +41,7 @@ class Scenario:
     r_u_m: float = 100.0
     x_u_m: float = 200.0
     eta_reflect: float = 0.9
-    env: EnvParams = field(default_factory=lambda: ENV_PRESETS["dense_urban"])
+    env: EnvParams = field(default_factory=EnvParams)
     # Macro-BS class transmit power; at -80 dBm noise this puts the optimized
     # link in the O(1) bit/s/Hz regime where the rate trends are meaningful.
     p_tx_w: float = dbm_to_watts(43.0)

@@ -19,7 +19,7 @@ class Point3:
 
     x: float
     y: float
-    z: float = 0.0
+    z: float
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
@@ -35,26 +35,23 @@ def distance(a: Point3, b: Point3) -> float:
 
 def sample_uniform_disk(center: Point3, radius: float, rng: np.random.Generator) -> Point3:
     """One point uniform over the horizontal disk of ``radius`` around
-    ``center``, at the center's altitude.
-
-    Draw order is fixed (radius fraction first, then angle) so that streams
-    replay identically for a given generator state.
-    """
-    return _disk_point(center, radius, rng.random(), rng.random())
+    ``center``, at the center's altitude: ``sample_cluster``'s count-1 case."""
+    return sample_cluster(center, radius, 1, rng)[0]
 
 
 def sample_cluster(center: Point3, radius: float, count: int, rng: np.random.Generator) -> list[Point3]:
-    """``count`` independent uniform-disk points (fixed daughter count).
+    """``count`` independent points uniform over the horizontal disk of
+    ``radius`` around ``center`` (fixed daughter count), at its altitude.
 
-    Draws the 2*count uniforms in one call; they are the values of 2*count
-    scalar draws, so the points equal ``count`` sample_uniform_disk calls.
+    Each point takes its radius fraction sqrt(u_r), then its angle
+    2*pi*u_phi, from the next two uniforms of one batched draw; those are the
+    values of 2*count scalar draws, so streams replay identically for a given
+    generator state.
     """
     u = rng.random(2 * count).tolist()
-    return [_disk_point(center, radius, u_r, u_phi) for u_r, u_phi in zip(u[0::2], u[1::2])]
-
-
-def _disk_point(center: Point3, radius: float, u_r: float, u_phi: float) -> Point3:
-    """Disk point at radius fraction sqrt(u_r) and angle 2*pi*u_phi."""
-    r = radius * math.sqrt(u_r)
-    phi = 2.0 * math.pi * u_phi
-    return Point3(center.x + r * math.cos(phi), center.y + r * math.sin(phi), center.z)
+    points = []
+    for u_r, u_phi in zip(u[0::2], u[1::2]):
+        r = radius * math.sqrt(u_r)
+        phi = 2.0 * math.pi * u_phi
+        points.append(Point3(center.x + r * math.cos(phi), center.y + r * math.sin(phi), center.z))
+    return points

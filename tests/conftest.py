@@ -9,7 +9,6 @@ from saris.channel import (
     EnvParams,
     LinkState,
     _draw_links,
-    db_to_linear,
     path_loss_db,
 )
 from saris.deployment import Scenario, _draw_trial
@@ -36,7 +35,7 @@ def draw_one_link(tx, rx, tx_n, rx_n, env, rng):
     formula at the drawn state, capped at unity as the drawing path caps it."""
     matrices, states = _draw_links([(tx, rx)], rx_n, tx_n, env, rng)
     d = distance(tx, rx)
-    return matrices[0], states[0], min(1.0, db_to_linear(-path_loss_db(d, states[0], env))), d
+    return matrices[0], states[0], min(1.0, 10.0 ** (-path_loss_db(d, states[0], env) / 10.0)), d
 
 
 def elevation_angle_deg(ground: Point3, aerial: Point3) -> float:
@@ -76,16 +75,16 @@ def boundary_max(gm) -> float:
 
 def make_realization(bs_mats, user_mats, eta=0.9, direct=None) -> ChannelRealization:
     """Realization from explicit per-UAV matrices: bs_mats[l] is (N, M),
-    user_mats[l] is (1, N), direct is (1, M) or None.  Every UAV link is
-    recorded as LoS."""
+    user_mats[l] is (1, N), direct is (1, M) or None.  Folded into rows as
+    realize_channels folds its draws; every UAV link is recorded as LoS."""
     G = np.array(bs_mats, dtype=complex)
-    h = np.array(user_mats, dtype=complex)[:, 0]
+    h = np.array(user_mats, dtype=complex)
+    rows = np.conj(h[:, 0])[:, :, None] * G
+    rows *= eta
     return ChannelRealization(
-        G=G,
-        h=h,
-        direct=np.asarray(direct, dtype=complex)[0] if direct is not None else None,
-        eta_reflect=eta,
         states=[LinkState.LOS] * (2 * len(G)),
+        rows=rows.reshape(-1, G.shape[2]),
+        direct_row=np.conj(np.asarray(direct, dtype=complex)[0]) if direct is not None else None,
     )
 
 

@@ -24,7 +24,7 @@ from conftest import (
 )
 from saris import cli
 from saris.beamforming import alternating_optimize
-from saris.channel import ENV_PRESETS, los_probability
+from saris.channel import EnvParams, los_probability
 from saris.config import SimConfig
 from saris.deployment import Grid2D, Scenario, _draw_trial, grid_search
 from saris.estimation import group_aggregate_channels, run_estimation
@@ -229,7 +229,7 @@ class TestCriterion10StatisticalSanity:
         report("disk sampling", f"mean radial offset {mean:.4f} (expect 20)")
 
     def test_los_probability_monotone_sweep(self):
-        env = ENV_PRESETS["dense_urban"]
+        env = EnvParams()
         probs = [los_probability(t, env) for t in np.linspace(0.09, 90.0, 1000)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
         report("los probability monotone")

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -8,13 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import ALWAYS_LOS, ALWAYS_NLOS, draw_one_link, elevation_angle_deg, make_realization
 from saris.channel import (
-    ENV_PRESETS,
     ChannelRealization,
     EnvParams,
     LinkState,
     _draw_links,
     cascade_rows,
-    db_to_linear,
     dbm_to_watts,
     effective_channel,
     los_probability,
@@ -25,7 +24,7 @@ from saris.channel import (
 from saris.geometry import Point3, distance
 from saris.streams import substream
 
-DENSE = ENV_PRESETS["dense_urban"]
+DENSE = EnvParams()
 # The environment that gives each forced state (None: the state is drawn).
 FORCING = {None: DENSE, LinkState.LOS: ALWAYS_LOS, LinkState.NLOS: ALWAYS_NLOS}
 
@@ -49,9 +48,6 @@ class TestEnvParams:
         with pytest.raises(ValueError):
             EnvParams(**kwargs)
 
-    def test_presets_cover_four_environments(self):
-        assert set(ENV_PRESETS) == {"suburban", "urban", "dense_urban", "highrise"}
-
     def test_dbm_conversion(self):
         assert dbm_to_watts(-80.0) == pytest.approx(1e-11)
         assert dbm_to_watts(43.0) == pytest.approx(19.953, rel=1e-4)
@@ -68,6 +64,16 @@ class TestLosProbability:
     def test_steep_sigmoid_limit(self):
         steep = EnvParams(a=12.08, b=500.0, eta_los_db=1.6, eta_nlos_db=23.0)
         assert los_probability(12.2, steep) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(12.08, 1000.0), (1000.0, 1.0)])
+    def test_overflowing_exponential_gives_the_limit(self, a, b):
+        # exp(-b * (theta - a)) overflows a double: the sigmoid's limit is 0
+        assert los_probability(1.0, EnvParams(a=a, b=b)) == 0.0
+
+    def test_formula_holds_just_short_of_the_overflow(self):
+        env = EnvParams(b=1000.0)
+        theta = env.a - 0.7  # exponent about 700, below the overflow near 709.78
+        assert los_probability(theta, env) == 1.0 / (1.0 + env.a * math.exp(-env.b * (theta - env.a)))
 
     def test_monotone_in_elevation(self):
         thetas = np.linspace(0.09, 90.0, 1000)
@@ -168,7 +174,7 @@ class TestDrawLink:
         matrices, states = _draw_links(
             [(self.BS, self.UAV)] * 20_000, 1, 1, ALWAYS_NLOS, substream(1, "c")
         )
-        gain = db_to_linear(-path_loss_db(distance(self.BS, self.UAV), LinkState.NLOS, ALWAYS_NLOS))
+        gain = 10.0 ** (-path_loss_db(distance(self.BS, self.UAV), LinkState.NLOS, ALWAYS_NLOS) / 10.0)
         assert set(states) == {LinkState.NLOS}
         assert np.mean(np.abs(matrices) ** 2) == pytest.approx(gain, rel=0.04)
 
@@ -223,7 +229,7 @@ class TestDrawLink:
         p_los = los_probability(elevation_angle_deg(ground, aerial), DENSE)
         state = force or (LinkState.LOS if u < p_los else LinkState.NLOS)
         d = distance(tx, rx)
-        gain = min(1.0, db_to_linear(-path_loss_db(d, state, DENSE)))
+        gain = min(1.0, 10.0 ** (-path_loss_db(d, state, DENSE) / 10.0))
         if state is LinkState.LOS:
             az_tx = math.atan2(rx.y - tx.y, rx.x - tx.x)
             el_rx = math.asin((tx.z - rx.z) / d)
@@ -268,8 +274,12 @@ class TestRealizeChannels:
         assert len(r.bs_to_uav) == 10 and len(r.uav_to_user) == 10
 
     def test_record_keeps_only_what_a_trial_reads(self):
-        # the link stacks and eta are folded into the rows at construction
+        # realize_channels folds the link stacks and eta into the rows
         assert [f.name for f in dataclasses.fields(ChannelRealization)] == ["states", "rows", "direct_row"]
+
+    def test_constructor_takes_the_stored_fields(self):
+        params = list(inspect.signature(ChannelRealization).parameters)
+        assert params == [f.name for f in dataclasses.fields(ChannelRealization)]
 
     def test_direct_blocked_by_default(self):
         r = realize_channels(
@@ -289,7 +299,7 @@ class TestRealizeChannels:
         probe = substream(2, "c")
         blocked = realize_channels(self.BS, self.UAVS, self.USER, rng=probe, **kw)
         assert r.rows.tobytes() == blocked.rows.tobytes() and r.states == blocked.states
-        gain = min(1.0, db_to_linear(-terrestrial_path_loss_db(distance(self.BS, self.USER), DENSE)))
+        gain = min(1.0, 10.0 ** (-terrestrial_path_loss_db(distance(self.BS, self.USER), DENSE) / 10.0))
         parts = probe.standard_normal((1, 4, 2))
         expected = math.sqrt(gain) * (parts.view(np.complex128)[..., 0] / math.sqrt(2.0))
         assert r.direct_row.shape == (4,)

@@ -272,6 +272,34 @@ class TestCli:
         assert err.rstrip("\n").endswith("elevation angle must be in (0, 90], got 0.0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("env", ["env.b = 1000\n", "env.a = 1000\nenv.b = 1\n"], ids=["steep", "late"])
+    def test_overflowing_los_sigmoid_runs(self, env, tmp_path):
+        # exp(-b * (theta - a)) overflows a double: the LoS probability is
+        # the sigmoid's limit, 0, and the study completes
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n"
+            "grid.x_min_m = 0\ngrid.x_max_m = 400\ngrid.x_step_m = 200\n"
+            "grid.z_min_m = 20\ngrid.z_max_m = 100\ngrid.z_step_m = 80\n" + env
+        )
+        out = tmp_path / "m.csv"
+        assert self.run("deploy-map", "--config", str(cfg), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2 + 6
+
+    def test_negative_path_loss_below_overflow_runs(self, tmp_path):
+        # a user within 1e-100 m of the BS: the terrestrial path loss is below
+        # -3400 dB, where 10^(-pl/10) overflows a double; the gain is clamped
+        # to 1 before the power is taken
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n"
+            "scenario.x_u_m = 0\nscenario.r_u_m = 1e-100\nscenario.direct_link_mode = terrestrial_nlos\n"
+        )
+        out = tmp_path / "est.csv"
+        args = ("--n-groups", "2", "--pilot-snr-db", "inf")
+        assert self.run("estimate", "--config", str(cfg), "--out", str(out), *args) == 0
+        assert out.read_text().splitlines()[2].startswith("2,3,inf,")
+
     # an SNR of 10^600 overflows to an infinite rate in every trial
     OVERFLOWING_SNR = (
         "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 3\n"

@@ -88,6 +88,15 @@ class TestDiskSampling:
             assert math.hypot(p.x - 5, p.y + 3) <= 10.0
             assert p.z == 40.0
 
+    def test_point_from_two_scalar_draws(self):
+        # radius fraction first, then angle, one scalar uniform each
+        rng, twin = substream(9, "disk"), substream(9, "disk")
+        p = sample_uniform_disk(Point3(5, -3, 40), 10.0, rng)
+        r = 10.0 * math.sqrt(twin.random())
+        phi = 2.0 * math.pi * twin.random()
+        assert (p.x, p.y, p.z) == (5 + r * math.cos(phi), -3 + r * math.sin(phi), 40)
+        assert rng.random() == twin.random()
+
     def test_mean_radial_offset(self, rng):
         # mean of r * (2r/R^2) over [0, R] is 2R/3
         region = (Point3(0, 0, 0), 10.0)
