@@ -52,8 +52,8 @@ class BeamformingSolution(NamedTuple):
 def optimize_rows(
     rows: np.ndarray,
     direct_row: np.ndarray | None,
-    tol: float = 1e-6,
-    max_iter: int = 100,
+    tol: float,
+    max_iter: int,
     init_w: np.ndarray | None = None,
 ) -> BeamformingSolution:
     """Alternating ascent on a generic contribution-row decomposition.
@@ -127,9 +127,7 @@ def optimize_rows(
     return BeamformingSolution(w / math.sqrt(new_obj), theta, new_obj, trace, iterations)
 
 
-def alternating_optimize(
-    r: ChannelRealization, tol: float = 1e-6, max_iter: int = 100
-) -> BeamformingSolution:
+def alternating_optimize(r: ChannelRealization, tol: float, max_iter: int) -> BeamformingSolution:
     """Joint active/passive beamforming by alternating the two closed forms."""
     rows, direct_row = cascade_rows(r)
     return optimize_rows(rows, direct_row, tol, max_iter)

@@ -204,7 +204,7 @@ def realize_channels(
     eta_reflect: float,
     env: EnvParams,
     rng: np.random.Generator,
-    direct_link_mode: str = "blocked",
+    direct_link_mode: str,
 ) -> ChannelRealization:
     """Draw every link of one trial (L incident matrices G, L reflected
     vectors h, and optionally the direct path) and fold them into the

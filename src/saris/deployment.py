@@ -28,6 +28,10 @@ from .streams import substream
 BASELINE_ALTITUDE_M = 50.0  # swarm center height above the user-region center
 BS_POSITION = Point3(0.0, 0.0, 0.0)  # at the origin: x_u_m is measured from the BS
 MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from allocating 1e300 cells
+# Bound on the magnitude of every placement input, in m: the coordinates a
+# trial builds from them then differ by at most 4e150 m, whose square the
+# link geometry takes as a finite double.
+MAX_COORDINATE_M = 1e150
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,10 @@ class Scenario:
     def __post_init__(self):
         if min(self.M, self.N, self.L) < 1:
             raise ValueError("element counts must be >= 1")
-        if not (0 < self.r_a_m < math.inf and 0 < self.r_u_m < math.inf):
-            raise ValueError("cluster radii must be finite and > 0")
+        if not (0 < self.r_a_m <= MAX_COORDINATE_M and 0 < self.r_u_m <= MAX_COORDINATE_M):
+            raise ValueError(f"cluster radii must be in (0, {MAX_COORDINATE_M:g}] m")
+        if not abs(self.x_u_m) <= MAX_COORDINATE_M:
+            raise ValueError(f"user-region distance must be at most {MAX_COORDINATE_M:g} m in magnitude")
         if not (0 < self.eta_reflect <= 1):
             raise ValueError("reflection efficiency must be in (0, 1]")
         if not (self.noise_w > 0 and self.p_tx_w > 0):
@@ -87,6 +93,8 @@ class Grid2D:
             raise ValueError("grid steps must be > 0")
         if not (self.z_min > 0):
             raise ValueError("swarm altitude grid must start above ground")
+        if not max(-self.x_min, self.x_max, self.z_max) <= MAX_COORDINATE_M:
+            raise ValueError(f"grid extents must be at most {MAX_COORDINATE_M:g} m in magnitude")
         nx = _axis_count(self.x_min, self.x_max, self.x_step)
         nz = _axis_count(self.z_min, self.z_max, self.z_step)
         if not nx * nz <= MAX_GRID_CELLS:
@@ -155,10 +163,9 @@ def simulate_trial(
 
 
 def collect_metrics(
-    scenario: Scenario, center: Point3, trials: int, rng: np.random.Generator, bf: BfOptions | None = None
+    scenario: Scenario, center: Point3, trials: int, rng: np.random.Generator, bf: BfOptions
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial (gains, rates) arrays at a fixed swarm center."""
-    bf = bf or BfOptions()
     gains = np.empty(trials)
     rates = np.empty(trials)
     for i in range(trials):
@@ -171,8 +178,8 @@ def evaluate_position(
     center: Point3,
     trials: int,
     rng: np.random.Generator,
-    bf: BfOptions | None = None,
-    objective: str = "gain",
+    bf: BfOptions,
+    objective: str,
 ) -> float:
     """Mean channel power gain in dB at a candidate center (objective="gain"),
     or mean achievable rate in bit/s/Hz (objective="rate")."""
@@ -187,8 +194,8 @@ def grid_search(
     grid: Grid2D,
     trials: int,
     master_seed: int,
-    bf: BfOptions | None = None,
-    objective: str = "gain",
+    bf: BfOptions,
+    objective: str,
 ) -> GainMap:
     """Exhaustively score every (x, z) cell with evaluate_position and return
     the map plus argmax.

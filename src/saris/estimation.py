@@ -105,8 +105,8 @@ def rate_loss(
     est: EstimationResult,
     p_tx: float,
     noise: float,
-    tol: float = 1e-6,
-    max_iter: int = 100,
+    tol: float,
+    max_iter: int,
 ) -> tuple[float, float]:
     """Rate under estimated CSI (one shared phase per group, beamformer built
     from the estimates, evaluated on the true channel) against the true

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from saris.beamforming import BfOptions
 from saris.channel import (
     ChannelRealization,
     EnvParams,
@@ -19,6 +20,10 @@ settings.register_profile(
     "suite", deadline=None, max_examples=50, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+# The beamformer settings a run takes when its config leaves the bf.* keys
+# unset; the package's functions take them from their caller.
+BF = BfOptions()
 
 # Dense-urban losses with an LoS-probability sigmoid that pins the link state.
 # a = 200 keeps the LoS probability at most 8.4e-51 on (0, 90] degrees, so

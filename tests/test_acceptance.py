@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     ALWAYS_NLOS,
+    BF,
     boundary_max,
     coefficient_counts,
     draw_one_link,
@@ -45,7 +46,7 @@ def report(name: str, detail: str = ""):
 @pytest.fixture(scope="module")
 def paper_gain_map():
     scenario = Scenario()  # x_U=200, L=10, R_A=10, R_U=100, 1000 trials
-    return grid_search(scenario, PAPER_GRID, scenario.trials, scenario.seed)
+    return grid_search(scenario, PAPER_GRID, scenario.trials, scenario.seed, BF, "gain")
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def rate_vs_uavs_far_user():
 class TestCriterion01ApertureLaw:
     def test_received_power_scales_with_squared_element_count(self):
         objectives = {
-            (L, N): alternating_optimize(unit_realization(L, N, eta=0.9)).objective
+            (L, N): alternating_optimize(unit_realization(L, N, eta=0.9), BF.tol, BF.max_iter).objective
             for L, N in [(1, 20), (2, 20), (1, 40)]
         }
         assert objectives[(2, 20)] == pytest.approx(4.0 * objectives[(1, 20)], rel=1e-9)
@@ -152,7 +153,7 @@ class TestCriterion06OracleEquivalence:
             for n in (1, 2):
                 for _ in range(5):
                     r = random_realization(rng, 1, n, m)
-                    sol = alternating_optimize(r)
+                    sol = alternating_optimize(r, BF.tol, BF.max_iter)
                     oracle = grid_oracle(r, levels=64)
                     rel = abs(sol.objective - oracle) / oracle
                     worst = max(worst, rel)
@@ -168,7 +169,7 @@ class TestCriterion07AscentInvariant:
             r = random_realization(
                 rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 5))
             )
-            trace = alternating_optimize(r).objective_trace
+            trace = alternating_optimize(r, BF.tol, BF.max_iter).objective_trace
             diffs = np.diff(trace)
             if (diffs < -1e-12 * max(trace)).any():
                 violations += 1

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_realization, random_links, random_realization, unit_realization
+from conftest import BF, make_realization, random_links, random_realization, unit_realization
 from saris.beamforming import alternating_optimize, optimize_rows, quantize_phases
 from saris.channel import cascade_rows, effective_channel
+from saris.deployment import Scenario, _draw_trial
+from saris.geometry import Point3
+from saris.streams import substream
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +38,7 @@ def random_unit(rng, m):
 def align_phases(r, w):
     """The phases optimize_rows' first phase half-step picks from precoder w:
     every contribution rotated onto the direct path's argument, or onto 0."""
-    return optimize_rows(*cascade_rows(r), max_iter=1, init_w=w).phases
+    return optimize_rows(*cascade_rows(r), BF.tol, 1, init_w=w).phases
 
 
 class TestAlignPhases:
@@ -95,7 +98,7 @@ class TestAlignPhases:
 
 class TestAlternatingOptimize:
     def test_unit_norm_and_trace_shape(self, rng):
-        sol = alternating_optimize(random_realization(rng, 2, 3, 4))
+        sol = alternating_optimize(random_realization(rng, 2, 3, 4), BF.tol, BF.max_iter)
         assert np.linalg.norm(sol.w) == pytest.approx(1.0, abs=1e-12)
         assert sol.phases.shape == (6,)
         assert ((sol.phases >= 0) & (sol.phases < TWO_PI)).all()
@@ -109,21 +112,21 @@ class TestAlternatingOptimize:
         for _ in range(20):
             r = random_realization(rng, 2, 4, 1)
             rows, _ = cascade_rows(r)
-            sol = alternating_optimize(r)
+            sol = alternating_optimize(r, BF.tol, BF.max_iter)
             assert sol.objective == pytest.approx(np.abs(rows).sum() ** 2, rel=1e-10)
 
     def test_scalar_bs_with_direct(self, rng):
         for _ in range(10):
             r = random_realization(rng, 1, 3, 1, direct=True)
             rows, direct_row = cascade_rows(r)
-            sol = alternating_optimize(r)
+            sol = alternating_optimize(r, BF.tol, BF.max_iter)
             expected = (np.abs(rows).sum() + abs(direct_row[0])) ** 2
             assert sol.objective == pytest.approx(expected, rel=1e-10)
 
     def test_ascent_trace(self, rng):
         for _ in range(200):
             r = random_realization(rng, 2, 2, 3)
-            tr = alternating_optimize(r).objective_trace
+            tr = alternating_optimize(r, BF.tol, BF.max_iter).objective_trace
             diffs = np.diff(tr)
             assert (diffs >= -1e-12 * max(tr)).all()
 
@@ -132,7 +135,7 @@ class TestAlternatingOptimize:
             m = int(rng.integers(1, 3))
             n = int(rng.integers(1, 3))
             r = random_realization(rng, 1, n, m)
-            sol = alternating_optimize(r)
+            sol = alternating_optimize(r, BF.tol, BF.max_iter)
             oracle = grid_oracle(r)
             assert sol.objective >= oracle * (1 - 5e-3)
             # continuous optimum can exceed the 64-level grid only slightly
@@ -145,8 +148,8 @@ class TestAlternatingOptimize:
         s = 3.7
         r = make_realization(bs_mats, user_mats)
         scaled = make_realization(bs_mats, [u * s for u in user_mats])
-        a = alternating_optimize(r)
-        b = alternating_optimize(scaled)
+        a = alternating_optimize(r, BF.tol, BF.max_iter)
+        b = alternating_optimize(scaled, BF.tol, BF.max_iter)
         assert b.objective == pytest.approx(a.objective * s**2, rel=1e-9)
         np.testing.assert_allclose(
             np.exp(1j * a.phases), np.exp(1j * b.phases), atol=1e-9
@@ -158,23 +161,23 @@ class TestAlternatingOptimize:
         s = 2.1
         r = make_realization(bs_mats, user_mats)
         scaled = make_realization([b * s for b in bs_mats], [u * s for u in user_mats])
-        assert alternating_optimize(scaled).objective == pytest.approx(
-            alternating_optimize(r).objective * s**4, rel=1e-9
+        assert alternating_optimize(scaled, BF.tol, BF.max_iter).objective == pytest.approx(
+            alternating_optimize(r, BF.tol, BF.max_iter).objective * s**4, rel=1e-9
         )
 
     def test_aperture_law_on_unit_fixture(self):
         # all unit cascaded gains: objective is exactly (eta L N)^2
         for L, N in [(1, 4), (2, 4), (1, 8), (3, 5)]:
-            sol = alternating_optimize(unit_realization(L, N, eta=0.9))
+            sol = alternating_optimize(unit_realization(L, N, eta=0.9), BF.tol, BF.max_iter)
             assert sol.objective == pytest.approx((0.9 * L * N) ** 2, rel=1e-12)
 
     def test_zero_channel_rejected(self):
         r = make_realization([np.zeros((2, 2))], [np.zeros((1, 2))])
         with pytest.raises(ValueError):
-            alternating_optimize(r)
+            alternating_optimize(r, BF.tol, BF.max_iter)
 
 
-def reference_optimize_rows(rows, direct_row, tol=1e-6, max_iter=100, init_w=None):
+def reference_optimize_rows(rows, direct_row, tol, max_iter, init_w=None):
     """The ascent loop optimize_rows replaced, as the reference: w
     renormalized by MRT every iteration and both half-step objectives taken
     as |e @ w|^2.  Returns (w, phases, objective, trace, iterations)."""
@@ -250,7 +253,7 @@ class TestOptimizeRowsMatchesReference:
         rows[2] = 0.0
         for direct_row in (None, rng.standard_normal(3) + 1j * rng.standard_normal(3)):
             self.assert_matches(rows, direct_row, 1e-10)
-            assert optimize_rows(rows, direct_row).phases[2] == 0.0
+            assert optimize_rows(rows, direct_row, BF.tol, BF.max_iter).phases[2] == 0.0
 
     def test_restart_orthogonal_to_a_row(self):
         # w = e_0 leaves row 1 with no contribution in the first alignment
@@ -260,19 +263,19 @@ class TestOptimizeRowsMatchesReference:
     def test_zero_channel_error_unchanged(self):
         rows = np.zeros((3, 2), dtype=complex)
         with pytest.raises(ValueError, match="effective channel is identically zero"):
-            optimize_rows(rows, None)
+            optimize_rows(rows, None, BF.tol, BF.max_iter)
         for direct_row in (None, np.zeros(2, dtype=complex)):
             for run in (reference_optimize_rows, optimize_rows):
                 with pytest.raises(ValueError, match="MRT is undefined for a zero channel vector"):
-                    run(rows, direct_row, init_w=np.array([1.0 + 0j, 0.0]))
+                    run(rows, direct_row, BF.tol, BF.max_iter, init_w=np.array([1.0 + 0j, 0.0]))
 
     def test_nan_rows_raise(self):
         # caught at the start, or, from an init_w, in the first iteration
         rows = np.array([[1.0, math.nan], [0.5j, 2.0]])
         with pytest.raises(ValueError, match="effective channel is identically zero or not finite"):
-            optimize_rows(rows, None)
+            optimize_rows(rows, None, BF.tol, BF.max_iter)
         with pytest.raises(ValueError, match="MRT is undefined for a zero channel vector or a non-finite one"):
-            optimize_rows(rows, None, init_w=np.array([1.0 + 0j, 0.0]))
+            optimize_rows(rows, None, BF.tol, BF.max_iter, init_w=np.array([1.0 + 0j, 0.0]))
 
 
 class TestQuantizePhases:
@@ -301,6 +304,63 @@ class TestQuantizePhases:
         for bits in (1, 2, 4):
             for _ in range(10):
                 r = random_realization(rng, 1, 3, 2)
-                sol = alternating_optimize(r)
+                sol = alternating_optimize(r, BF.tol, BF.max_iter)
                 e_q = effective_channel(r, quantize_phases(sol.phases, bits))
                 assert abs(e_q @ sol.w) ** 2 <= sol.objective * (1 + 1e-12)
+
+
+def sdr_bound(rows, steps, rng, rank=24):
+    """Upper bound on max ||sum_k phi_k rows[k]||^2 over unit phasors phi, the
+    cascade-only objective, from its semidefinite relaxation max tr(QV) s.t.
+    diag(V) = 1, V psd, with Q = conj(rows rows^H) (Wu & Zhang, TWC 2019).
+
+    A rank-``rank`` factor U with unit rows climbs tr(U^H Q U) by U <-
+    rownorm(QU) (Burer & Monteiro, Math. Prog. 2003).  y_k = Re(U_k^H (QU)_k)
+    is then a dual point: diag(y + c) - Q is psd for c = max(0, -lambda_min(
+    diag(y) - Q)), so sum(y) + K*c bounds the relaxation at any step count.
+    Returns (bound, certified); certified means c <= 1e-13 * sum(y), so the
+    bound is the relaxation's optimum to within K * 1e-13 relative.
+    """
+    Q = np.conj(rows @ rows.conj().T)
+    U = rng.standard_normal((len(Q), rank)) + 1j * rng.standard_normal((len(Q), rank))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    for _ in range(steps):
+        QU = Q @ U
+        U = QU / np.linalg.norm(QU, axis=1, keepdims=True)
+    y = np.einsum("kr,kr->k", U.conj(), Q @ U).real
+    shift = max(0.0, -np.linalg.eigvalsh(np.diag(y) - Q)[0])
+    return y.sum() + len(Q) * shift, shift <= 1e-13 * y.sum()
+
+
+class TestGapToTheRelaxationBound:
+    """How far the data path's ascent, optimize_rows at tol 1e-6, stops
+    below the certified SDR bound at paper scale (K = L*N = 200 rows), on a
+    fixed sample of 40 default-scenario trials per center and 100 factor
+    steps.  The pins record what today's ascent reaches; they are not
+    targets.  Most of the baseline center's large gaps outlast running the
+    ascent to convergence: they are local optima or the relaxation's own
+    gap, which the bound cannot tell apart."""
+
+    # center -> (certified bounds, gap median, p90, max); each gap is
+    # (bound - objective) / bound, pinned to 3 significant digits
+    PINNED = {
+        "baseline": (Scenario().baseline_center, (19, 6.75e-06, 0.0648, 0.0855)),
+        "deploy-map optimum": (Point3(80.0, 0.0, 80.0), (29, 5.35e-07, 7.36e-06, 0.000314)),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_gap(self, name):
+        center, pinned = self.PINNED[name]
+        scenario = Scenario()
+        trials, factors = substream(7, "cert", name), substream(7, "cert-factor", name)
+        gaps, certified = [], 0
+        for _ in range(40):
+            r = _draw_trial(scenario, center, trials)
+            objective = optimize_rows(r.rows, r.direct_row, BF.tol, BF.max_iter).objective
+            bound, ok = sdr_bound(r.rows, 100, factors)
+            gaps.append((bound - objective) / bound)
+            certified += ok
+        assert min(gaps) >= 0.0  # a valid bound is never below an attained objective
+        stats = (np.median(gaps), np.percentile(gaps, 90), max(gaps))
+        print(f"{name}: {certified}/40 certified, gap median/p90/max " + " ".join(f"{v:.3g}" for v in stats))
+        assert (certified, *(float(f"{v:.3g}") for v in stats)) == pinned

@@ -21,6 +21,7 @@ from saris.channel import (
     realize_channels,
     terrestrial_path_loss_db,
 )
+from saris.deployment import Scenario
 from saris.geometry import Point3, distance
 from saris.streams import substream
 
@@ -248,14 +249,14 @@ class TestDrawLink:
         with pytest.raises(ValueError, match="elevation angle"):
             realize_channels(
                 self.BS, [self.BS], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
-                rng=substream(1, "f"),
+                rng=substream(1, "f"), direct_link_mode="blocked",
             )
 
     def test_rejects_equal_altitude(self):
         with pytest.raises(ValueError, match="elevation angle"):
             realize_channels(
                 self.BS, [Point3(10, 0, 0)], Point3(200, 0, 0), M=1, N=1, eta_reflect=0.9, env=DENSE,
-                rng=substream(1, "g"),
+                rng=substream(1, "g"), direct_link_mode="blocked",
             )
 
 
@@ -267,7 +268,7 @@ class TestRealizeChannels:
     def test_paper_shapes(self):
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
-            rng=substream(2, "a"),
+            rng=substream(2, "a"), direct_link_mode="blocked",
         )
         assert r.rows.shape == (200, 16)
         assert len(r.states) == 20
@@ -282,9 +283,10 @@ class TestRealizeChannels:
         assert params == [f.name for f in dataclasses.fields(ChannelRealization)]
 
     def test_direct_blocked_by_default(self):
+        # the scenario default blocks the direct path
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=4, N=4, eta_reflect=0.9, env=DENSE,
-            rng=substream(2, "b"),
+            rng=substream(2, "b"), direct_link_mode=Scenario().direct_link_mode,
         )
         assert r.direct_row is None
 
@@ -297,7 +299,7 @@ class TestRealizeChannels:
         # the direct path is drawn last: a blocked draw from the same stream
         # leaves the probe at its normals
         probe = substream(2, "c")
-        blocked = realize_channels(self.BS, self.UAVS, self.USER, rng=probe, **kw)
+        blocked = realize_channels(self.BS, self.UAVS, self.USER, rng=probe, direct_link_mode="blocked", **kw)
         assert r.rows.tobytes() == blocked.rows.tobytes() and r.states == blocked.states
         gain = min(1.0, 10.0 ** (-terrestrial_path_loss_db(distance(self.BS, self.USER), DENSE) / 10.0))
         parts = probe.standard_normal((1, 4, 2))
@@ -316,7 +318,7 @@ class TestRealizeChannels:
     def test_link_lists_split_the_states(self):
         r = realize_channels(
             self.BS, self.UAVS, self.USER, M=16, N=20, eta_reflect=0.9, env=DENSE,
-            rng=substream(2, "v"),
+            rng=substream(2, "v"), direct_link_mode="blocked",
         )
         for l in range(10):
             # link states: the BS->UAV links first, then the UAV->user links

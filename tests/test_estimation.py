@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coefficient_counts, make_realization, random_realization
+from conftest import BF, coefficient_counts, make_realization, random_realization
 from saris import beamforming
 from saris.channel import effective_channel
 from saris.deployment import Scenario, _draw_trial
@@ -175,13 +175,13 @@ class TestRateLoss:
         for _ in range(5):
             r = random_realization(rng, 2, 3, 4)
             est = run_estimation(r, 6, math.inf, substream(6, "p"), noise_w=1e-3)
-            rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
+            rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3, tol=BF.tol, max_iter=BF.max_iter)
             assert 0 <= rate_p - rate_e <= 1e-6
 
     def test_single_group_loss_nonnegative(self, rng):
         r = random_realization(rng, 2, 3, 4)
         est = run_estimation(r, 1, math.inf, substream(7, "q"), noise_w=1e-3)
-        rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
+        rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3, tol=BF.tol, max_iter=BF.max_iter)
         assert rate_e <= rate_p
 
     def test_estimated_never_beats_perfect(self, rng):
@@ -190,7 +190,7 @@ class TestRateLoss:
             for _ in range(30):
                 r = random_realization(rng, 3, 3, 2)
                 est = run_estimation(r, n_groups, 5.0, rng, noise_w=1e-3)
-                rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
+                rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3, tol=BF.tol, max_iter=BF.max_iter)
                 assert rate_e <= rate_p + 1e-12
 
     def test_mean_loss_nonincreasing_in_groups(self):
@@ -201,7 +201,7 @@ class TestRateLoss:
             r = random_realization(rng, 2, 4, 2)
             for n_groups in deltas:
                 est = run_estimation(r, n_groups, math.inf, rng, noise_w=1e-3)
-                rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3)
+                rate_p, rate_e = rate_loss(r, est, p_tx=0.1, noise=1e-3, tol=BF.tol, max_iter=BF.max_iter)
                 deltas[n_groups].append(rate_p - rate_e)
         means = [np.mean(deltas[n]) for n in (1, 2, 4, 8)]
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
@@ -213,7 +213,7 @@ class TestRateLoss:
         restarts = []
         optimize_rows = beamforming.optimize_rows
 
-        def counting(rows, direct_row, tol=1e-6, max_iter=100, init_w=None):
+        def counting(rows, direct_row, tol, max_iter, init_w=None):
             restarts.append(init_w is not None)
             return optimize_rows(rows, direct_row, tol, max_iter, init_w)
 
@@ -223,6 +223,6 @@ class TestRateLoss:
         for _ in range(20):
             r = _draw_trial(scenario, scenario.baseline_center, rng)
             est = run_estimation(r, scenario.L * scenario.N, math.inf, rng, noise_w=scenario.noise_w)
-            rate_p, rate_e = rate_loss(r, est, scenario.p_tx_w, scenario.noise_w)
+            rate_p, rate_e = rate_loss(r, est, scenario.p_tx_w, scenario.noise_w, BF.tol, BF.max_iter)
             assert rate_e <= rate_p
         assert len(restarts) == 40 and not any(restarts)

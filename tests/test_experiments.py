@@ -300,6 +300,33 @@ class TestCli:
         assert self.run("estimate", "--config", str(cfg), "--out", str(out), *args) == 0
         assert out.read_text().splitlines()[2].startswith("2,3,inf,")
 
+    # Coordinates whose differences square past a double used to stop the
+    # run at its first link draw (exit 2, "Numerical result out of range").
+    BEYOND_THE_COORDINATE_BOUND = [
+        ("scenario.x_u_m = 1e200\n", ("deploy-map",), "user-region distance must be at most 1e+150 m in magnitude"),
+        ("", ("rate-vs-radius", "--ra-values", "1e200"), "cluster radii must be in (0, 1e+150] m"),
+    ]
+
+    @pytest.mark.parametrize(
+        "setting, args, message", BEYOND_THE_COORDINATE_BOUND, ids=["user-distance", "swarm-radius"]
+    )
+    def test_coordinates_beyond_the_bound_exit_one_before_any_trial(
+        self, setting, args, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_trials(*a, **kw):
+            raise AssertionError("Monte Carlo work started on an out-of-bound coordinate")
+
+        monkeypatch.setattr(experiments, "collect_metrics", no_trials)
+        monkeypatch.setattr(experiments, "grid_search", no_trials)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n" + setting)
+        out = tmp_path / "o.csv"
+        command, *extra = args
+        assert self.run(command, "--config", str(cfg), "--out", str(out), *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
     # an SNR of 10^600 overflows to an infinite rate in every trial
     OVERFLOWING_SNR = (
         "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 3\n"

@@ -6,7 +6,9 @@ every name the package defines at module level, private helpers included, is
 read by the program itself, as is every field a dataclass stores, so code that
 only tests call lives in ``tests/``.
 Input rules live where the config is built, so only an allowlisted set of
-functions outside ``config.py`` may raise.
+functions outside ``config.py`` may raise.  Default settings live there too,
+in the config dataclasses' fields, so only an allowlisted set of function
+parameters has a default.
 """
 
 import ast
@@ -210,3 +212,41 @@ def test_trial_path_raises_only_numerical_errors():
         if not name.endswith(".__post_init__")
     }
     assert raising == set(RAISING_FUNCTIONS)
+
+
+# Every function parameter in the package that has a default, and why.  A
+# setting's default is a field of the config dataclass that owns it
+# (``BfOptions``, ``Scenario``, ``SimConfig``), so the functions a run calls
+# take each setting from their caller, and tests call them with what the CLI
+# passes.
+DEFAULTED_PARAMETERS = {
+    "beamforming.optimize_rows.init_w": "None is the cold start; rate_loss calls it with and without a warm start",
+    "cli.main.argv": "None reads sys.argv, as the console script calls it",
+}
+
+
+def defaulted_parameters(path: Path) -> set[str]:
+    """``module.qualname.parameter`` of every parameter with a default, in
+    every function and lambda of the module, nested ones included."""
+    found = set()
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            name = qualname
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+                name = f"{qualname}.{getattr(child, 'name', '<lambda>')}"
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                defaulted += [arg for arg, value in zip(args.kwonlyargs, args.kw_defaults) if value is not None]
+                found.update(f"{name}.{arg.arg}" for arg in defaulted)
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_settings_come_from_the_caller():
+    found = set().union(*(defaulted_parameters(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert found == set(DEFAULTED_PARAMETERS)
