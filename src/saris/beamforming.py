@@ -64,8 +64,9 @@ def optimize_rows(
     feeds both starts: the default one is all-zero phases followed by MRT,
     w = conj(e0); init_w skips that MRT and starts the first alignment from
     the given precoder (used for warm restarts), at objective |e0 @ init_w|^2.
-    A zero contribution keeps phase 0.  A channel that is zero or holds a
-    NaN raises ValueError instead of returning a NaN objective.
+    A zero contribution keeps phase 0.  A channel whose power is zero, below
+    the smallest normal double (whose divisions overflow) or not finite
+    raises ValueError instead of returning a NaN objective.
 
     The loop carries the MRT precoder unnormalized, w = conj(e), so the
     objective |e @ w/||w|| |^2 is ||w||^2; alignment reads only the phases
@@ -84,8 +85,8 @@ def optimize_rows(
     if init_w is None:
         w = np.conj(e)
         obj = norm2 = float(np.vdot(w, w).real)
-        if not obj > 0:
-            raise ValueError("effective channel is identically zero or not finite")
+        if not obj >= np.finfo(float).tiny:
+            raise ValueError("effective channel power is zero, underflows a double or is not finite")
     else:
         w = init_w
         obj = float(abs(e @ w) ** 2)

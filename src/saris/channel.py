@@ -18,6 +18,9 @@ import numpy as np
 from .geometry import Point3, distance
 
 SPEED_OF_LIGHT = 3.0e8
+# Carrier floor, in Hz: with every link at least 1e-150 m long (the altitude
+# floor), the free-space argument 4*pi*f_c*d/c is at least 4e-308, so its log is finite.
+MIN_CARRIER_HZ = 1e-150
 
 
 def dbm_to_watts(x_dbm: float) -> float:
@@ -45,8 +48,8 @@ class EnvParams:
             raise ValueError("sigmoid constants a, b must be > 0")
         if not (self.eta_nlos_db > self.eta_los_db >= 0):
             raise ValueError("excess losses must satisfy eta_nlos > eta_los >= 0")
-        if not (self.f_c > 0):
-            raise ValueError("carrier frequency must be > 0")
+        if not (self.f_c >= MIN_CARRIER_HZ):
+            raise ValueError(f"carrier frequency must be at least {MIN_CARRIER_HZ:g} Hz")
 
 
 class LinkState(enum.Enum):
@@ -84,10 +87,8 @@ class ChannelRealization:
 
 
 def los_probability(theta_deg: float, env: EnvParams) -> float:
-    """Sigmoid LoS probability for an air-to-ground link at elevation theta_deg."""
-    # Kept: accepted configs reach it (grid.z_min_m = 5e-324 underflows theta to 0).
-    if not (0 < theta_deg <= 90):
-        raise ValueError(f"elevation angle must be in (0, 90], got {theta_deg}")
+    """Sigmoid LoS probability for an air-to-ground link at elevation
+    theta_deg, in (0, 90] (the altitude floor keeps every drawn link there)."""
     try:
         return 1.0 / (1.0 + env.a * math.exp(-env.b * (theta_deg - env.a)))
     except OverflowError:
@@ -95,9 +96,8 @@ def los_probability(theta_deg: float, env: EnvParams) -> float:
 
 
 def path_loss_db(d: float, state: LinkState, env: EnvParams) -> float:
-    """Free-space path loss plus the per-state excess loss, in dB."""
-    if not (d > 0):
-        raise ValueError(f"link distance must be > 0, got {d}")
+    """Free-space path loss plus the per-state excess loss, in dB, for a
+    link of length d > 0."""
     fspl = 20.0 * math.log10(4.0 * math.pi * env.f_c * d / SPEED_OF_LIGHT)
     excess = env.eta_los_db if state is LinkState.LOS else env.eta_nlos_db
     return fspl + excess

@@ -32,6 +32,10 @@ MAX_GRID_CELLS = 1_000_000  # far past any study; stops a mistyped step from all
 # trial builds from them then differ by at most 4e150 m, whose square the
 # link geometry takes as a finite double.
 MAX_COORDINATE_M = 1e150
+# Floor of the swarm altitude, in m: every link's |dz| >= 1e-150 m has a normal
+# square, so its length d >= |dz| (asin(dz / d) is defined) and its elevation
+# stays positive out to 4e150 m of ground range.
+MIN_ALTITUDE_M = 1e-150
 
 
 @dataclass(frozen=True)
@@ -91,8 +95,8 @@ class Grid2D:
             raise ValueError("grid extents must satisfy min < max")
         if not (self.x_step > 0 and self.z_step > 0):
             raise ValueError("grid steps must be > 0")
-        if not (self.z_min > 0):
-            raise ValueError("swarm altitude grid must start above ground")
+        if not (self.z_min >= MIN_ALTITUDE_M):
+            raise ValueError(f"swarm altitude grid must start at least {MIN_ALTITUDE_M:g} m above ground")
         if not max(-self.x_min, self.x_max, self.z_max) <= MAX_COORDINATE_M:
             raise ValueError(f"grid extents must be at most {MAX_COORDINATE_M:g} m in magnitude")
         nx = _axis_count(self.x_min, self.x_max, self.x_step)

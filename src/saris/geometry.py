@@ -21,12 +21,6 @@ class Point3:
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError("coordinates must be finite")
-        if self.z < 0:
-            raise ValueError(f"node altitude must be >= 0, got z={self.z}")
-
 
 def distance(a: Point3, b: Point3) -> float:
     """Euclidean distance in meters."""

@@ -102,14 +102,16 @@ class TestApplySettings:
                 config.apply_settings({key: raw})
 
     def test_invalid_domain_value_is_config_error(self):
-        # a 1e-300 m step would ask for about 1e304 grid cells; a 53-bit
-        # codebook is finer than doubles near 2*pi, 2**1100 overflows one,
-        # and so does the pilot noise factor 10**400 of a -4000 dB SNR; the
-        # trial path checks none of these again
+        # a 1e-300 m step would ask for about 1e304 grid cells; an altitude
+        # or a carrier below its 1e-150 floor can underflow a link draw; a
+        # 53-bit codebook is finer than doubles near 2*pi, 2**1100 overflows
+        # one, and so does the pilot noise factor 10**400 of a -4000 dB SNR;
+        # the trial path checks none of these again
         for key, raw in [
             ("scenario.L", "0"), ("scenario.M", "0"), ("scenario.N", "0"), ("scenario.r_u_m", "0"),
             ("scenario.trials", "0"), ("grid.search_trials", "0"), ("grid.x_step_m", "1e-300"),
-            ("grid.z_min_m", "0"), ("bf.tol", "0"), ("bf.max_iter", "0"),
+            ("grid.z_min_m", "0"), ("grid.z_min_m", "1e-160"), ("env.fc_hz", "5e-324"),
+            ("bf.tol", "0"), ("bf.max_iter", "0"),
             ("bf.phase_bits", "-1"), ("bf.phase_bits", "53"), ("bf.phase_bits", "1100"),
             ("est.pilot_snr_db", "nan"), ("est.pilot_snr_db", "-inf"), ("est.pilot_snr_db", "-4000"),
         ]:

@@ -36,13 +36,19 @@ class TestScenario:
 
     def test_farthest_placement_draws_a_trial(self):
         # every input at the bound, the swarm at the opposite grid corner:
-        # the link geometry squares differences of up to 4e150 m
-        bound = deployment.MAX_COORDINATE_M
-        sc = small_scenario(x_u_m=-bound, r_a_m=bound, r_u_m=bound)
-        Grid2D(x_min=-bound, x_max=bound, x_step=bound, z_min=1.0, z_max=bound, z_step=bound)
-        for seed in range(20):
-            r = _draw_trial(sc, Point3(bound, 0.0, bound), substream(seed, "far"))
-            assert r.rows.shape == (12, 4) and np.isfinite(r.rows).all()
+        # the link geometry squares differences of up to 4e150 m; and the
+        # floor corner, the swarm over the BS at the lowest altitude with
+        # radii whose squares underflow to 0: each link is |dz| long
+        bound, floor = deployment.MAX_COORDINATE_M, deployment.MIN_ALTITUDE_M
+        corners = [
+            (small_scenario(x_u_m=-bound, r_a_m=bound, r_u_m=bound), Point3(bound, 0.0, bound)),
+            (small_scenario(x_u_m=0.0, r_a_m=1e-300, r_u_m=1e-300), Point3(0.0, 0.0, floor)),
+        ]
+        Grid2D(x_min=-bound, x_max=bound, x_step=bound, z_min=floor, z_max=bound, z_step=bound)
+        for sc, center in corners:
+            for seed in range(20):
+                r = _draw_trial(sc, center, substream(seed, "far"))
+                assert r.rows.shape == (12, 4) and np.isfinite(r.rows).all()
 
 
 class TestGrid2D:

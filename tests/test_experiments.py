@@ -256,20 +256,51 @@ class TestCli:
         )
         assert self.run("deploy-map", "--config", str(cfg), "--out", str(tmp_path / "m.csv")) == 2
         err = capsys.readouterr().err
-        assert "identically zero" in err and "config error" not in err
+        assert "effective channel power is zero" in err and "config error" not in err
 
-    def test_underflowing_altitude_exits_two(self, tmp_path, capsys):
-        # z_min = 5e-324 passes the grid's z_min > 0 check, but the elevation
-        # of the first link underflows to 0: the per-link guard stops the run
+    def test_underflowed_channel_exits_two_with_one_line(self, tmp_path):
+        # every row is about 1e-157 and nonzero, but the start power |e|^2 is
+        # subnormal: the start check names it before the alignment's divisions
+        # overflow (a fresh interpreter, so the warning is not turned into an error)
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             "scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n"
-            "grid.z_min_m = 5e-324\n"
+            "scenario.x_u_m = 1e150\n"
+            "grid.x_min_m = 0\ngrid.x_max_m = 100\ngrid.x_step_m = 100\n"
+            "grid.z_min_m = 50\ngrid.z_max_m = 100\ngrid.z_step_m = 50\n"
         )
         out = tmp_path / "m.csv"
-        assert self.run("deploy-map", "--config", str(cfg), "--out", str(out)) == 2
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "saris.cli", "deploy-map", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [
+            "error: effective channel power is zero, underflows a double or is not finite"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [
+            # the elevation of the first link underflows to 0
+            ("grid.z_min_m = 5e-324\n", "grid.z_min_m"),
+            # dz^2 is subnormal, so the link length comes out below |dz|
+            ("grid.z_min_m = 1e-160\nscenario.r_a_m = 1e-300\ngrid.x_min_m = 0\n", "grid.z_min_m"),
+            # 4*pi*f_c*d/c underflows to 0, whose log is undefined
+            ("env.fc_hz = 5e-324\n", "env.fc_hz"),
+        ],
+        ids=["elevation", "distance", "carrier"],
+    )
+    def test_input_below_a_floor_exits_one(self, settings, key, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario.M = 2\nscenario.N = 2\nscenario.L = 2\nscenario.trials = 2\n" + settings)
+        out = tmp_path / "m.csv"
+        assert self.run("deploy-map", "--config", str(cfg), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.rstrip("\n").endswith("elevation angle must be in (0, 90], got 0.0")
+        assert "config error" in err and repr(key) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("env", ["env.b = 1000\n", "env.a = 1000\nenv.b = 1\n"], ids=["steep", "late"])

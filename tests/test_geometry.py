@@ -15,18 +15,6 @@ alt = st.floats(0, 1e5, allow_nan=False, allow_infinity=False)
 points = st.builds(Point3, coord, coord, alt)
 
 
-class TestPoint3:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Point3(math.nan, 0, 0)
-        with pytest.raises(ValueError):
-            Point3(math.inf, 0, 0)
-
-    def test_rejects_negative_altitude(self):
-        with pytest.raises(ValueError):
-            Point3(0, 0, -1)
-
-
 class TestDistance:
     def test_pythagorean_triple(self):
         assert distance(Point3(0, 0, 0), Point3(3, 4, 0)) == 5.0
